@@ -68,6 +68,14 @@ def _load_space(path_str: str) -> space_mod.SearchSpace:
     return space_mod.load_space(path)
 
 
+def _run_config(args, out: Path, **resolved) -> dict:
+    """Every parsed flag (config file folded in) plus the output directory and
+    the values the command resolves itself; written as run_config.json."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
+    cfg.update(out=str(out), **resolved)
+    return cfg
+
+
 def _config_hash(cfg: dict) -> str:
     reduced = {k: v for k, v in cfg.items() if k not in ("seed", "out")}
     digest = hashlib.sha256(json.dumps(reduced, sort_keys=True).encode("utf-8")).hexdigest()
@@ -137,19 +145,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         name=args.name,
     )
-    run_cfg = {
-        "command": "synth",
-        "size": args.size,
-        "nodes_min": args.nodes_min,
-        "nodes_max": args.nodes_max,
-        "vocab_size": args.vocab_size,
-        "hparam_dim": args.hparam_dim,
-        "cells": args.cells,
-        "name": args.name,
-        "tau": args.tau,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    run_cfg = _run_config(args, out)
 
     generated = space_mod.generate_synthetic_space(cfg)
     calibrated = space_mod.calibrate_weak_labels(generated, target_tau=args.tau, seed=args.seed)
@@ -189,24 +185,7 @@ def cmd_pretrain(args) -> int:
     _require(args, "seed", "out", "space")
     out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
-    run_cfg = {
-        "command": "pretrain",
-        "space": args.space,
-        "sample": args.sample,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-        "hidden": args.hidden,
-        "layers": args.layers,
-        "sortpool": args.sortpool,
-        "conv1d": args.conv1d,
-        "hparam_proj": args.hparam_proj,
-        "head_hidden": args.head_hidden,
-        "dropout": args.dropout,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    run_cfg = _run_config(args, out)
 
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
@@ -249,7 +228,7 @@ def cmd_pretrain(args) -> int:
 # search
 # ---------------------------------------------------------------------------
 
-def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace, per_round: int) -> list[list]:
+def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) -> list[list]:
     rows = []
     best_id = None
     best_val = -np.inf
@@ -288,33 +267,7 @@ def cmd_search(args) -> int:
     needs_budget = args.budget if baseline == "ws-greedy" else scfg.budget
     if needs_budget > len(bench):
         raise CliConfigError(f"budget {needs_budget} exceeds space size {len(bench)}")
-    run_cfg = {
-        "command": "search",
-        "space": args.space,
-        "budget": args.budget,
-        "rounds": args.rounds,
-        "alpha": args.alpha,
-        "topk": args.topk,
-        "baseline": baseline,
-        "no_pretrain": bool(args.no_pretrain),
-        "checkpoint": args.checkpoint,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-        "patience": args.patience,
-        "sigma": args.sigma,
-        "probe_size": args.probe_size,
-        "hidden": args.hidden,
-        "layers": args.layers,
-        "sortpool": args.sortpool,
-        "conv1d": args.conv1d,
-        "hparam_proj": args.hparam_proj,
-        "head_hidden": args.head_hidden,
-        "dropout": args.dropout,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    run_cfg = _run_config(args, out, baseline=baseline, no_pretrain=bool(args.no_pretrain))
 
     final_model = None
     if baseline == "ws-greedy":
@@ -325,8 +278,7 @@ def cmd_search(args) -> int:
                 search.TraceEntry(round=1, arch_id=rec.arch.id, origin="ws-greedy", val_acc=rec.val_acc)
             )
     elif baseline == "random":
-        view = search.SearchView(bench)
-        trace = search.random_search(view, scfg)
+        _, trace = search.iterative_search(search.SearchView(bench), None, scfg)
     else:
         loss = {"full": "lambdarank", "vanilla-mse": "mse", "ranknet": "ranknet"}[baseline]
         fresh = args.no_pretrain or baseline == "vanilla-mse"
@@ -341,7 +293,7 @@ def cmd_search(args) -> int:
             model = nn.load_checkpoint(args.checkpoint)
             if model.config.vocab_size != len(bench.meta.vocab) or model.config.hparam_dim != bench.meta.hparam_dim:
                 raise CliConfigError("checkpoint was trained for a different space shape")
-        tcfg = ltr.TrainConfig.finetune_defaults(
+        tcfg = ltr.TrainConfig(
             batch_size=args.batch_size,
             epochs=args.epochs,
             lr0=args.lr,
@@ -369,7 +321,7 @@ def cmd_search(args) -> int:
     _write_csv(
         out / "budget_curve.csv",
         ["round", "budget", "best_val_so_far", "test_acc_of_best_val"],
-        _best_so_far_curve(trace, bench, per_round),
+        _best_so_far_curve(trace, bench),
     )
     if final_model is not None:
         nn.save_checkpoint(final_model, out / "final_model.json")
@@ -378,16 +330,12 @@ def cmd_search(args) -> int:
 
 
 def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg: dict, baseline: str) -> dict:
-    best_test_space = max(r.test_acc for r in bench.records.values())
     best_val_space = max(r.val_acc for r in bench.records.values())
     chosen = bench.records[trace.chosen_id]
+    top = [bench.records[rid] for rid in trace.final_top_k]
     iterative = [e for e in trace.entries if e.origin != "topk"]
     best_val_iter = max(e.val_acc for e in iterative)
     best_val_all = max(e.val_acc for e in trace.entries)
-    if trace.final_top_k:
-        topk_best_test = max(bench.records[rid].test_acc for rid in trace.final_top_k)
-    else:
-        topk_best_test = None
     last = trace.round_metrics[-1] if trace.round_metrics else None
     return {
         "config_hash": _config_hash(run_cfg),
@@ -395,9 +343,9 @@ def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg:
         "seed": run_cfg["seed"],
         "chosen_id": trace.chosen_id,
         "final_test_acc": chosen.test_acc,
-        "chosen_test_regret": best_test_space - chosen.test_acc,
-        "topk_best_test_acc": topk_best_test,
-        "topk_test_regret": None if topk_best_test is None else best_test_space - topk_best_test,
+        "chosen_test_regret": metrics.top_k_regret([chosen], bench, 1),
+        "topk_best_test_acc": max(r.test_acc for r in top) if top else None,
+        "topk_test_regret": metrics.top_k_regret(top, bench, len(top)) if top else None,
         "val_regret_iterative": best_val_space - best_val_iter,
         "val_regret_final": best_val_space - best_val_all,
         "final_ndcg": None if last is None else last.ndcg,
@@ -566,7 +514,7 @@ def _apply_config_file(parser, registry, argv) -> argparse.Namespace:
     if not isinstance(overrides, dict):
         raise CliConfigError(f"{path}: config must be a JSON object")
     sub = registry[args.command]
-    known = {a.dest for a in sub._actions}
+    known = {a.dest for a in sub._actions} - {"help"}
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise CliConfigError(f"{path}: unknown config keys {unknown}")

@@ -110,10 +110,6 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1 or None")
 
     @classmethod
-    def finetune_defaults(cls, **kw) -> "TrainConfig":
-        return cls(**kw)
-
-    @classmethod
     def pretrain_defaults(cls, **kw) -> "TrainConfig":
         base = dict(lr0=0.001, weight_decay=1e-5, early_stop_patience=None)
         base.update(kw)

@@ -3,9 +3,12 @@
 Round 1 samples uniformly at random; later rounds mix the model's top-scored
 candidates (an exploit fraction of the round budget) with uniform draws from
 the remaining pool. After every round the model is re-finetuned from the
-supplied base checkpoint on all labels revealed so far. The search sees
+supplied base checkpoint on all labels revealed so far, and the final top-k
+is the model's. Without a model the same loop is the budget-matched random
+baseline: every pick, the final k included, is uniform. The search sees
 validation accuracy only, and only for sampled ids; test accuracy enters
-exactly once, in finalize.
+exactly once, in finalize. The ws-greedy baseline is a one-shot selector
+outside the loop.
 
 The trace is a pure function of (space, config, seed): replaying the same
 inputs reproduces it byte for byte.
@@ -14,38 +17,13 @@ inputs reproduces it byte for byte.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import ltr, metrics, nn
-from .space import (
-    ArchGraph,
-    Architecture,
-    EncodedArch,
-    SearchSpace,
-    SpaceMeta,
-    encode_architecture,
-    validate_graph,
-)
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    population: int = 64
-    generations: int = 200
-    tournament: int = 8
-    hparam_sigma: float = 0.1
-
-    def __post_init__(self):
-        if self.population < 2 or self.generations < 0:
-            raise ValueError("population must be >= 2 and generations >= 0")
-        if not 1 <= self.tournament <= self.population:
-            raise ValueError("tournament size must be in [1, population]")
-        if self.hparam_sigma <= 0:
-            raise ValueError("hparam_sigma must be positive")
+from .space import Architecture, EncodedArch, SearchSpace, encode_architecture
 
 
 @dataclass(frozen=True)
@@ -55,7 +33,6 @@ class SearchConfig:
     exploit_fraction: float = 0.5
     top_k: int = 10
     seed: int = 0
-    evolution: EvolutionConfig | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.exploit_fraction <= 1.0:
@@ -139,12 +116,14 @@ class EvalProbe:
     val_accs: np.ndarray
 
 
+def _draw(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
+    """n distinct ids drawn uniformly, in their order in `ids`."""
+    return [ids[i] for i in sorted(rng.choice(len(ids), size=n, replace=False).tolist())]
+
+
 def make_probe(space: SearchSpace, size: int, seed: int) -> EvalProbe:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806]))
-    ids = space.ids
-    take = min(size, len(ids))
-    chosen = sorted(rng.choice(len(ids), size=take, replace=False).tolist())
-    picked = [ids[i] for i in chosen]
+    picked = _draw(rng, space.ids, min(size, len(space)))
     return EvalProbe(
         ids=tuple(picked),
         encoded=tuple(encode_architecture(space.records[r].arch, space.meta.vocab) for r in picked),
@@ -205,40 +184,41 @@ def _child_seed(seed: int, *tags: int) -> int:
 
 def iterative_search(
     view: SearchView,
-    model: nn.RankingModel,
+    model: nn.RankingModel | None,
     cfg: SearchConfig,
-    train_cfg: ltr.TrainConfig,
+    train_cfg: ltr.TrainConfig | None = None,
     loss: str = "lambdarank",
     probe: EvalProbe | None = None,
-) -> tuple[nn.RankingModel, SearchTrace]:
+) -> tuple[nn.RankingModel | None, SearchTrace]:
     """Run the round-based search; returns the final finetuned model and the
-    trace (iterative samples plus the model's final top-k, all with revealed
-    validation accuracy)."""
+    trace (iterative samples plus the final top-k, all with revealed
+    validation accuracy).
+
+    With model=None this is the random baseline on the same budget: no
+    exploit picks, no finetune, no NDCG/tau per round, a uniform final top-k,
+    and None in place of the model."""
     if cfg.budget > len(view):
         raise ValueError(f"budget {cfg.budget} exceeds space size {len(view)}")
+    if model is not None and train_cfg is None:
+        raise ValueError("a model needs a finetune config")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EA6]))
     trace = SearchTrace(config=cfg)
     unlabeled = list(view.ids)
     labeled_ids: list[str] = []
     current = model
     best_val = -np.inf
-    n_exploit_target = int(cfg.exploit_fraction * cfg.per_round)
+    n_exploit = 0 if model is None else int(cfg.exploit_fraction * cfg.per_round)
 
     for rnd in range(1, cfg.rounds + 1):
         picks: list[tuple[str, str]] = []
-        if rnd == 1:
-            chosen = rng.choice(len(unlabeled), size=cfg.per_round, replace=False)
-            picks = [(unlabeled[i], "random") for i in sorted(chosen.tolist())]
-        else:
+        if rnd > 1 and n_exploit:
             pool = [(rid, view.encoded(rid)) for rid in unlabeled]
-            exploit = select_top_k(current, pool, min(n_exploit_target, len(pool)))
-            picks = [(rid, "model") for rid, _ in exploit]
-            taken = {rid for rid, _ in picks}
-            remaining = [rid for rid in unlabeled if rid not in taken]
-            n_random = cfg.per_round - len(picks)
-            if n_random:
-                chosen = rng.choice(len(remaining), size=n_random, replace=False)
-                picks += [(remaining[i], "random") for i in sorted(chosen.tolist())]
+            picks = [(rid, "model") for rid, _ in select_top_k(current, pool, n_exploit)]
+        taken = {rid for rid, _ in picks}
+        remaining = [rid for rid in unlabeled if rid not in taken]
+        n_random = cfg.per_round - len(picks)
+        if n_random:
+            picks += [(rid, "random") for rid in _draw(rng, remaining, n_random)]
         for rid, origin in picks:
             val = view.reveal_val(rid)
             trace.entries.append(TraceEntry(round=rnd, arch_id=rid, origin=origin, val_acc=val))
@@ -247,23 +227,28 @@ def iterative_search(
         taken = {rid for rid, _ in picks}
         unlabeled = [rid for rid in unlabeled if rid not in taken]
 
-        examples = [
-            ltr.LabeledExample(arch_id=rid, encoded=view.encoded(rid), val_acc=view.reveal_val(rid))
-            for rid in labeled_ids
-        ]
-        result = ltr.finetune(
-            model, examples, replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss
-        )
-        current = result.model
-        ndcg_val, tau_val = _snapshot(current, probe, result.relevance_map)
+        ndcg_val = tau_val = None
+        if model is not None:
+            examples = [
+                ltr.LabeledExample(arch_id=rid, encoded=view.encoded(rid), val_acc=view.reveal_val(rid))
+                for rid in labeled_ids
+            ]
+            result = ltr.finetune(
+                model, examples, replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss
+            )
+            current = result.model
+            ndcg_val, tau_val = _snapshot(current, probe, result.relevance_map)
         trace.round_metrics.append(
             RoundMetrics(round=rnd, ndcg=ndcg_val, tau=tau_val, best_val_so_far=best_val)
         )
 
-    pool = [(rid, view.encoded(rid)) for rid in unlabeled]
-    top = select_top_k(current, pool, cfg.top_k)
-    trace.final_top_k = tuple(rid for rid, _ in top)
-    for rid, _ in top:
+    if model is None:
+        top = _draw(rng, unlabeled, cfg.top_k)
+    else:
+        pool = [(rid, view.encoded(rid)) for rid in unlabeled]
+        top = [rid for rid, _ in select_top_k(current, pool, cfg.top_k)]
+    trace.final_top_k = tuple(top)
+    for rid in top:
         trace.entries.append(
             TraceEntry(round=cfg.rounds + 1, arch_id=rid, origin="topk", val_acc=view.reveal_val(rid))
         )
@@ -272,35 +257,6 @@ def iterative_search(
     if len(set(sampled)) != cfg.budget or len(sampled) != cfg.budget:
         raise RuntimeError("internal sampling bug: duplicate or missing ids in trace")
     return current, trace
-
-
-def random_search(view: SearchView, cfg: SearchConfig) -> SearchTrace:
-    """Budget-matched baseline: every pick (including the final k) is uniform."""
-    if cfg.budget > len(view):
-        raise ValueError(f"budget {cfg.budget} exceeds space size {len(view)}")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EA6]))
-    trace = SearchTrace(config=cfg)
-    unlabeled = list(view.ids)
-    best_val = -np.inf
-    for rnd in range(1, cfg.rounds + 1):
-        chosen = rng.choice(len(unlabeled), size=cfg.per_round, replace=False)
-        picks = [unlabeled[i] for i in sorted(chosen.tolist())]
-        for rid in picks:
-            val = view.reveal_val(rid)
-            trace.entries.append(TraceEntry(round=rnd, arch_id=rid, origin="random", val_acc=val))
-            best_val = max(best_val, val)
-        unlabeled = [rid for rid in unlabeled if rid not in set(picks)]
-        trace.round_metrics.append(
-            RoundMetrics(round=rnd, ndcg=None, tau=None, best_val_so_far=best_val)
-        )
-    chosen = rng.choice(len(unlabeled), size=cfg.top_k, replace=False)
-    picks = [unlabeled[i] for i in sorted(chosen.tolist())]
-    trace.final_top_k = tuple(picks)
-    for rid in picks:
-        trace.entries.append(
-            TraceEntry(round=cfg.rounds + 1, arch_id=rid, origin="topk", val_acc=view.reveal_val(rid))
-        )
-    return trace
 
 
 def finalize(trace: SearchTrace, space: SearchSpace) -> tuple[Architecture, float]:
@@ -325,116 +281,3 @@ def ws_greedy_baseline(space: SearchSpace, budget: int):
     order = sorted(space.records.values(), key=lambda r: (-r.ws_acc, r.arch.id))
     return order[:budget]
 
-
-# ---------------------------------------------------------------------------
-# surrogate-guided evolution
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EvolveResult:
-    population: list[tuple[Architecture, float]]   # sorted by score desc
-    best_curve: list[float]                        # running best per generation
-
-
-def _middle_ops(vocab: Sequence[str]) -> list[str]:
-    return [op for op in vocab if op not in ("input", "output")]
-
-
-def _mutate_once(arch: Architecture, meta: SpaceMeta, rng: np.random.Generator, hparam_sigma: float) -> Architecture | None:
-    """One random mutation: op relabel, forward-edge rewire, or hparam jitter.
-    Returns None when the draw fails to produce a valid, different architecture."""
-    moves = ["op_flip", "edge_rewire"]
-    if meta.hparam_dim > 0:
-        moves.append("hparam_jitter")
-    move = moves[int(rng.integers(len(moves)))]
-    cells = list(arch.cells)
-    hparams = arch.hparams
-    if move == "hparam_jitter":
-        jittered = np.clip(np.asarray(hparams) + rng.normal(0.0, hparam_sigma, size=len(hparams)), -1.0, 1.0)
-        hparams = tuple(float(x) for x in jittered)
-    else:
-        ci = int(rng.integers(len(cells)))
-        cell = cells[ci]
-        n = len(cell.nodes)
-        if move == "op_flip":
-            middle = [i for i, op in enumerate(cell.nodes) if op not in ("input", "output")]
-            choices = _middle_ops(meta.vocab)
-            if not middle or len(choices) < 2:
-                return None
-            node = middle[int(rng.integers(len(middle)))]
-            new_op = choices[int(rng.integers(len(choices)))]
-            if new_op == cell.nodes[node]:
-                return None
-            nodes = list(cell.nodes)
-            nodes[node] = new_op
-            cells[ci] = ArchGraph(nodes=tuple(nodes), edges=cell.edges)
-        else:
-            edges = set(cell.edges)
-            candidates = [
-                (s, d) for s in range(n - 1) for d in range(s + 1, n) if (s, d) not in edges
-            ]
-            if not candidates or not edges:
-                return None
-            drop = tuple(sorted(edges))[int(rng.integers(len(edges)))]
-            add = candidates[int(rng.integers(len(candidates)))]
-            new_edges = (edges - {drop}) | {add}
-            cells[ci] = ArchGraph(nodes=cell.nodes, edges=tuple(sorted(new_edges)))
-    mutated = Architecture(id=arch.id, cells=tuple(cells), hparams=hparams)
-    try:
-        for cell in mutated.cells:
-            validate_graph(cell)
-    except ValueError:
-        return None
-    if mutated.cells == arch.cells and mutated.hparams == arch.hparams:
-        return None
-    return mutated
-
-
-def mutate_architecture(
-    arch: Architecture,
-    meta: SpaceMeta,
-    rng: np.random.Generator,
-    hparam_sigma: float = 0.1,
-    attempts: int = 20,
-) -> Architecture:
-    for _ in range(attempts):
-        mutated = _mutate_once(arch, meta, rng, hparam_sigma)
-        if mutated is not None:
-            return mutated
-    raise RuntimeError(f"no valid mutation found for {arch.id!r} in {attempts} attempts")
-
-
-def evolve_with_surrogate(
-    model: nn.RankingModel,
-    meta: SpaceMeta,
-    initial: Sequence[Architecture],
-    cfg: EvolutionConfig,
-    seed: int = 0,
-) -> EvolveResult:
-    """Regularized evolution scored by the ranking model only (no ground-truth
-    queries): tournament parent pick, one mutation per child, drop the oldest.
-    Deterministic per seed; the final population is returned sorted by score."""
-    if len(initial) < cfg.population:
-        raise ValueError(f"need >= {cfg.population} initial architectures, got {len(initial)}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE701]))
-
-    def score(arch: Architecture) -> float:
-        s, _ = nn.forward(model, [encode_architecture(arch, meta.vocab)], "rank")
-        return float(s[0])
-
-    population: deque[tuple[Architecture, float]] = deque(
-        (a, score(a)) for a in initial[: cfg.population]
-    )
-    best = max(s for _, s in population)
-    best_curve = []
-    for gen in range(cfg.generations):
-        contenders = rng.choice(len(population), size=cfg.tournament, replace=False)
-        parent = max((population[int(i)] for i in contenders), key=lambda p: p[1])[0]
-        child = mutate_architecture(parent, meta, rng, cfg.hparam_sigma)
-        child = Architecture(id=f"evo-{gen:06d}", cells=child.cells, hparams=child.hparams)
-        population.append((child, score(child)))
-        population.popleft()
-        best = max(best, population[-1][1])
-        best_curve.append(best)
-    ranked = sorted(population, key=lambda p: (-p[1], p[0].id))
-    return EvolveResult(population=ranked, best_curve=best_curve)

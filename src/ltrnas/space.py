@@ -383,8 +383,8 @@ class SyntheticLandscape:
     (op-type histogram, mean normalized node depth) and a hyper-parameter
     inner product. The shift inside the squash skews the population: most
     architectures land in a dense upper mode with a long tail of poor ones.
-    The object is a pure function of the config, so tests and the
-    surrogate-evolution loop can score architectures that were never tabled.
+    The object is a pure function of the config, so tests can score
+    architectures that were never tabled.
     """
 
     # Squash geometry: mode in the high 80s with a tail reaching the 40s.
@@ -563,18 +563,3 @@ def calibrate_weak_labels(
         replace(rec, ws_acc=float(w)) for rec, w in zip(space.records.values(), ws)
     ]
     return _build_space(space.meta, records)
-
-
-def split_labeled(space: SearchSpace, ids: Iterable[str]) -> tuple[list[BenchmarkRecord], list[BenchmarkRecord]]:
-    """Partition records into (labeled in id insertion order, remaining pool)."""
-    chosen = []
-    seen = set()
-    for rid in ids:
-        if rid not in space.records:
-            raise KeyError(f"unknown architecture id {rid!r}")
-        if rid in seen:
-            raise ValueError(f"duplicate id {rid!r} in labeled selection")
-        seen.add(rid)
-        chosen.append(space.records[rid])
-    pool = [rec for rid, rec in space.records.items() if rid not in seen]
-    return chosen, pool

@@ -131,10 +131,12 @@ class TestSearch:
         assert (out / "budget_curve.csv").is_file()
         assert (out / "final_model.json").is_file()
 
-    def test_identical_invocations_identical_bytes(self, tmp_path, space_dir, pretrain_dir):
+    @pytest.mark.parametrize("baseline", ["full", "random", "ws-greedy"])
+    def test_identical_invocations_identical_bytes(self, tmp_path, space_dir, pretrain_dir, baseline):
+        extra = {} if baseline == "full" else {"baseline": baseline}
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run(*search_args(space_dir, pretrain_dir, out, seed=6)) == EXIT_OK
+            assert run(*search_args(space_dir, pretrain_dir, out, seed=6, **extra)) == EXIT_OK
         for name in ("trace.jsonl", "round_metrics.csv", "budget_curve.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         sa = json.loads((a / "summary.json").read_text())
@@ -196,6 +198,17 @@ def two_runs(tmp_path_factory, space_dir, pretrain_dir):
         assert run(*search_args(space_dir, pretrain_dir, out, seed=seed)) == EXIT_OK
         runs.append(out)
     return runs
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("command", ["synth", "pretrain", "search"])
+    def test_keys_are_the_parsed_flags(self, command, space_dir, pretrain_dir, two_runs):
+        run_dir = {"synth": space_dir, "pretrain": pretrain_dir, "search": two_runs[0]}[command]
+        _, registry = cli.build_parser()
+        dests = {a.dest for a in registry[command]._actions} - {"config", "help"}
+        run_cfg = json.loads((run_dir / "run_config.json").read_text())
+        assert set(run_cfg) == dests | {"command"}
+        assert run_cfg["command"] == command
 
 
 class TestReport:
@@ -273,6 +286,12 @@ class TestConfigFile:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": 30}))
+        assert run("synth", "--out", tmp_path, "--seed", "1", "--config", cfg) == EXIT_CONFIG
+
+    def test_help_is_not_a_config_key(self, tmp_path):
+        # every accepted key lands in run_config.json; argparse's help is not a setting
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": True}))
         assert run("synth", "--out", tmp_path, "--seed", "1", "--config", cfg) == EXIT_CONFIG
 
     def test_missing_config_file(self, tmp_path):

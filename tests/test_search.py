@@ -1,5 +1,5 @@
 """Search-loop tests: budget accounting, exploit/explore split, selection,
-finalize, baselines, and surrogate evolution."""
+finalize, and the random and ws-greedy baselines."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,11 @@ import pytest
 from ltrnas import ltr, nn, search, space
 from ltrnas.search import (
     EvalProbe,
-    EvolutionConfig,
     SearchConfig,
     SearchView,
-    evolve_with_surrogate,
     finalize,
     iterative_search,
     make_probe,
-    mutate_architecture,
-    random_search,
     select_top_k,
     ws_greedy_baseline,
 )
@@ -114,6 +110,35 @@ class TestIterativeSearch:
         bests = [m.best_val_so_far for m in trace.round_metrics]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
+    def test_model_needs_train_config(self, bench, model):
+        cfg = SearchConfig(per_round=6, rounds=2, top_k=2, seed=0)
+        with pytest.raises(ValueError, match="finetune config"):
+            iterative_search(SearchView(bench), model, cfg)
+
+    def test_no_exploit_picks_score_only_the_final_pool(self, bench, model, monkeypatch):
+        calls = []
+
+        def counting(m, pool, k):
+            calls.append(k)
+            return select_top_k(m, pool, k)
+
+        monkeypatch.setattr(search, "select_top_k", counting)
+        cfg = SearchConfig(per_round=6, rounds=3, exploit_fraction=0.0, top_k=2, seed=2)
+        iterative_search(SearchView(bench), model, cfg, FAST_TRAIN)
+        assert calls == [2]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_no_exploit_picks_match_random_baseline_draws(self, bench, model, alpha):
+        # int(alpha * 6) == 0: every iterative pick comes from the same
+        # uniform stream as the random baseline's
+        cfg = SearchConfig(per_round=6, rounds=3, exploit_fraction=alpha, top_k=2, seed=2)
+        _, trace = iterative_search(SearchView(bench), model, cfg, FAST_TRAIN)
+        _, rand = iterative_search(SearchView(bench), None, cfg)
+        assert [e for e in trace.entries if e.round <= 3] == [e for e in rand.entries if e.round <= 3]
+        assert [m.best_val_so_far for m in trace.round_metrics] == [
+            m.best_val_so_far for m in rand.round_metrics
+        ]
+
     def test_probe_snapshots_populated(self, bench, model):
         cfg = SearchConfig(per_round=6, rounds=2, exploit_fraction=0.5, top_k=2, seed=9)
         probe = make_probe(bench, 50, seed=9)
@@ -201,10 +226,12 @@ def _space_with_equal_vals(bench):
 class TestRandomSearch:
     def test_all_random_origins(self, bench):
         cfg = SearchConfig(per_round=6, rounds=3, top_k=3, seed=5)
-        trace = random_search(SearchView(bench), cfg)
+        final_model, trace = iterative_search(SearchView(bench), None, cfg)
+        assert final_model is None
         assert len(trace.sampled_ids()) == 21
         assert all(e.origin in ("random", "topk") for e in trace.entries)
         assert len(set(trace.sampled_ids())) == 21
+        assert all(m.ndcg is None and m.tau is None for m in trace.round_metrics)
 
 
 class TestWsGreedy:
@@ -232,73 +259,6 @@ class TestWsGreedy:
         sp = space.generate_synthetic_space(space.SynthConfig(size=10, seed=0))
         with pytest.raises(ValueError, match="weak label"):
             ws_greedy_baseline(sp, 5)
-
-
-class TestEvolution:
-    def test_zero_generations_returns_initial(self, bench, model):
-        init = [bench.records[rid].arch for rid in bench.ids[:10]]
-        cfg = EvolutionConfig(population=10, generations=0)
-        result = evolve_with_surrogate(model, bench.meta, init, cfg, seed=1)
-        assert {a.id for a, _ in result.population} == {a.id for a in init}
-
-    def test_best_score_nondecreasing(self, bench, model):
-        init = [bench.records[rid].arch for rid in bench.ids[:16]]
-        cfg = EvolutionConfig(population=16, generations=60, tournament=4)
-        result = evolve_with_surrogate(model, bench.meta, init, cfg, seed=2)
-        curve = result.best_curve
-        assert len(curve) == 60
-        assert all(b >= a for a, b in zip(curve, curve[1:]))
-
-    def test_deterministic(self, bench, model):
-        init = [bench.records[rid].arch for rid in bench.ids[:12]]
-        cfg = EvolutionConfig(population=12, generations=25, tournament=4)
-        r1 = evolve_with_surrogate(model, bench.meta, init, cfg, seed=3)
-        r2 = evolve_with_surrogate(model, bench.meta, init, cfg, seed=3)
-        assert [(a.id, s) for a, s in r1.population] == [(a.id, s) for a, s in r2.population]
-
-    def test_population_sorted_by_score(self, bench, model):
-        init = [bench.records[rid].arch for rid in bench.ids[:12]]
-        cfg = EvolutionConfig(population=12, generations=10, tournament=4)
-        result = evolve_with_surrogate(model, bench.meta, init, cfg, seed=4)
-        scores = [s for _, s in result.population]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_mutants_stay_valid(self, bench):
-        rng = np.random.default_rng(6)
-        arch = bench.records[bench.ids[0]].arch
-        for _ in range(200):
-            arch = mutate_architecture(arch, bench.meta, rng)
-            for cell in arch.cells:
-                space.validate_graph(cell)
-            assert all(-1.0 <= h <= 1.0 for h in arch.hparams)
-
-    def test_evolved_beats_random_on_true_accuracy(self, bench):
-        # landscape oracle scores candidates that may not be in the table;
-        # a surrogate trained on labels should steer evolution upward
-        landscape = space.SyntheticLandscape(space.SynthConfig(size=150, seed=44))
-        rng = np.random.default_rng(7)
-        ids = list(bench.ids)
-        lab = [bench.records[ids[i]] for i in rng.choice(len(ids), 60, replace=False)]
-        examples = ltr.labeled_view(lab, bench.meta.vocab)
-        surrogate = ltr.finetune(
-            nn.build_model(MODEL_CFG), examples, ltr.TrainConfig(epochs=30, early_stop_patience=10, seed=2)
-        ).model
-
-        wins = 0
-        seeds = range(10)
-        for seed in seeds:
-            srng = np.random.default_rng(seed)
-            init_ids = srng.choice(len(ids), 24, replace=False)
-            init = [bench.records[ids[i]].arch for i in init_ids]
-            cfg = EvolutionConfig(population=24, generations=80, tournament=6)
-            result = evolve_with_surrogate(surrogate, bench.meta, init, cfg, seed=seed)
-            evolved_top = [a for a, _ in result.population[:10]]
-            random_ids = srng.choice(len(ids), 10, replace=False)
-            random_top = [bench.records[ids[i]].arch for i in random_ids]
-            ev = np.mean([landscape.base_accuracy(a) for a in evolved_top])
-            rd = np.mean([landscape.base_accuracy(a) for a in random_top])
-            wins += ev >= rd
-        assert wins >= 6  # median over seeds favors the evolved set
 
 
 class TestProbe:

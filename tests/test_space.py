@@ -21,7 +21,6 @@ from ltrnas.space import (
     generate_synthetic_space,
     load_space,
     save_space,
-    split_labeled,
     validate_graph,
 )
 
@@ -38,15 +37,6 @@ def record(arch_id, val=90.0, test=89.0, ws=None, ops=("conv3x3",)):
     return BenchmarkRecord(
         arch=chain_arch(arch_id, ops=ops), val_acc=val, test_acc=test, ws_acc=ws, flops=10.0, params=1.0
     )
-
-
-def small_space(n=3):
-    meta = SpaceMeta(name="toy", vocab=VOCAB, hparam_dim=2)
-    recs = {}
-    for i in range(n):
-        r = record(f"a{i}", val=80.0 + i, test=79.0 + i)
-        recs[r.arch.id] = r
-    return space.SearchSpace(meta=meta, records=recs)
 
 
 def write_space_file(tmp_path, header, lines):
@@ -290,26 +280,3 @@ class TestCalibration:
         flat = space.SearchSpace(meta=meta, records=recs)
         with pytest.raises(CalibrationError):
             calibrate_weak_labels(flat, 0.6, seed=0)
-
-
-class TestSplitLabeled:
-    def test_empty_selection(self):
-        sp = small_space(4)
-        labeled, pool = split_labeled(sp, [])
-        assert labeled == [] and len(pool) == 4
-
-    def test_full_selection(self):
-        sp = small_space(4)
-        labeled, pool = split_labeled(sp, list(sp.ids))
-        assert len(labeled) == 4 and pool == []
-
-    def test_partition_and_order(self):
-        sp = small_space(10)
-        labeled, pool = split_labeled(sp, ["a3", "a1"])
-        assert [r.arch.id for r in labeled] == ["a3", "a1"]
-        assert len(pool) == 8
-        assert {r.arch.id for r in labeled}.isdisjoint({r.arch.id for r in pool})
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            split_labeled(small_space(3), ["nope"])
