@@ -1,6 +1,6 @@
 """Learning-to-rank surrogate search over tabular architecture spaces."""
 
-from . import cli, ltr, metrics, nn, search, space
+from . import ltr, metrics, nn, search, space
 
 __version__ = "0.1.0"
 

@@ -192,19 +192,16 @@ def ranknet_lambdas(scores, rels, sigma: float = 1.0) -> np.ndarray:
     return pair.sum(axis=1) - pair.sum(axis=0)
 
 
-def lambdarank_lambdas(scores, rels, sigma: float = 1.0, ids: Sequence[str] | None = None) -> np.ndarray:
+def lambdarank_lambdas(scores, rels, sigma: float = 1.0, *, ids: Sequence[str]) -> np.ndarray:
     """RankNet coefficients scaled per pair by |delta NDCG| of swapping the
     two items in the current predicted ranking (descending score, ties broken
-    by id when given, else by original index)."""
+    by id)."""
     s = np.asarray(scores, dtype=np.float64)
     r = np.asarray(rels, dtype=np.float64)
     if s.shape != r.shape or s.size < 2:
         raise ValueError("scores and relevances must be equal-length lists of >= 2 items")
     n = s.size
-    if ids is None:
-        order = np.lexsort((np.arange(n), -s))
-    else:
-        order = np.array(sorted(range(n), key=lambda i: (-s[i], ids[i])), dtype=np.intp)
+    order = np.array(sorted(range(n), key=lambda i: (-s[i], ids[i])), dtype=np.intp)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     delta_by_pos = metrics.pairwise_delta_ndcg(r[order])

@@ -166,31 +166,30 @@ def sort_pool(node_features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     """
     if k <= 0:
         raise ValueError(f"sort-pool node count must be positive, got {k}")
-    feats = np.asarray(node_features, dtype=np.float64)
-    n, c = feats.shape
-    order = _sortpool_order(feats)
-    selected = order[: min(n, k)]
-    pooled = np.zeros((k, c))
-    pooled[: selected.size] = feats[selected]
+    pooled, selected = _sort_pool(np.asarray(node_features, dtype=np.float64)[None], k)
+    return pooled[0], selected[0]
+
+
+def _sort_pool(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batched sort-pooling of (B, n, c) features: (B, k, c) pooled rows and
+    the (B, min(n, k)) selected source rows, in the order of `sort_pool`.
+
+    A stable argsort on the last channel is already the full order unless
+    two rows tie there but differ elsewhere; only items with such a pair are
+    re-sorted on every channel. Identical tied rows keep index order, and
+    -0.0 ties with 0.0.
+    """
+    batch_n, n, c = h.shape
+    orders = np.argsort(-h[:, :, -1], axis=1, kind="stable")
+    ranked = np.take_along_axis(h[:, :, -1], orders, axis=1)
+    b, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    differ = np.unique(b[(h[b, orders[b, j]] != h[b, orders[b, j + 1]]).any(axis=1)])
+    if differ.size:
+        orders[differ] = np.lexsort(-np.moveaxis(h[differ], 2, 0), axis=-1)
+    selected = orders[:, : min(n, k)]
+    pooled = np.zeros((batch_n, k, c))
+    pooled[:, : selected.shape[1]] = np.take_along_axis(h, selected[:, :, None], axis=1)
     return pooled, selected
-
-
-def _sortpool_order(feats: np.ndarray) -> np.ndarray:
-    """Row order for sort-pooling: last channel descending, ties by remaining
-    channels descending (most significant first), then original index."""
-    n, c = feats.shape
-    order = np.argsort(-feats[:, -1], kind="stable")
-    svals = feats[order, -1]
-    i = 0
-    while i < n - 1:
-        j = i
-        while j + 1 < n and svals[j + 1] == svals[i]:
-            j += 1
-        if j > i and c > 1:
-            run = sorted(order[i : j + 1].tolist(), key=lambda r: (tuple(-feats[r, -2::-1]), r))
-            order[i : j + 1] = run
-        i = j + 1
-    return order
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -376,22 +375,9 @@ def _encode_cell(cfg, p, onehot, adj):
         layer_outputs.append(h)
     h = np.concatenate(layer_outputs, axis=2) if len(layer_outputs) > 1 else h
 
-    batch_n, n, c = h.shape
-    k = cfg.sortpool_nodes
-    k_eff = min(n, k)
-    # Fast path: a stable argsort on the last channel alone; only items with
-    # ties in that channel rerun the full comparator.
-    last = h[:, :, -1]
-    orders = np.argsort(-last, axis=1, kind="stable")
-    sorted_last = np.take_along_axis(last, orders, axis=1)
-    for b in np.flatnonzero((np.diff(sorted_last, axis=1) == 0.0).any(axis=1)):
-        orders[b] = _sortpool_order(h[b])
-    selected = orders[:, :k_eff]
-    pooled = np.zeros((batch_n, k, c))
-    pooled[:, :k_eff] = np.take_along_axis(h, selected[:, :, None], axis=1)
-
+    pooled, selected = _sort_pool(h, cfg.sortpool_nodes)
     conv_pre = pooled @ p["nodeconv.weight"] + p["nodeconv.bias"]
-    flat = np.maximum(conv_pre, 0.0).reshape(batch_n, -1)
+    flat = np.maximum(conv_pre, 0.0).reshape(len(h), -1)
     trace = _CellTrace(
         prop=prop,
         layer_inputs=layer_inputs,

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +300,16 @@ class TestConfigFile:
 
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--out", tmp_path, "--seed", "1", "--config", tmp_path / "nope.json") == EXIT_IO
+
+
+class TestModuleEntry:
+    def test_python_m_imports_cli_once(self):
+        # the package must not import cli eagerly, or `python -m ltrnas.cli`
+        # runs the module twice and warns on every command
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ltrnas.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr

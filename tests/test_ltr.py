@@ -177,7 +177,7 @@ class TestLambdarankLambdas:
         np.testing.assert_allclose(lam_full, coeff, atol=1e-12)
 
     def test_equal_relevance_contributes_nothing(self):
-        coeffs = lambdarank_lambdas([3.0, 1.0], [2.0, 2.0])
+        coeffs = lambdarank_lambdas([3.0, 1.0], [2.0, 2.0], ids=["x0", "x1"])
         np.testing.assert_array_equal(coeffs, 0.0)
 
     def test_matches_brute_force_recompute(self):
@@ -195,8 +195,9 @@ class TestLambdarankLambdas:
         rng = np.random.default_rng(7)
         s = rng.standard_normal(9)
         r = rng.integers(0, 4, size=9).astype(float)
+        ids = [f"x{k}" for k in range(9)]
         np.testing.assert_allclose(
-            lambdarank_lambdas(s, r), lambdarank_lambdas(s + 42.0, r), atol=1e-12
+            lambdarank_lambdas(s, r, ids=ids), lambdarank_lambdas(s + 42.0, r, ids=ids), atol=1e-12
         )
 
 

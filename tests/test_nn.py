@@ -3,6 +3,9 @@ batch independence, sort-pooling, optimizer and checkpoint behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ltrnas import nn, space
 from ltrnas.nn import (
@@ -199,6 +202,33 @@ class TestSortPool:
             ref = np.zeros((k, c))
             ref[: min(n, k)] = z[order[: min(n, k)]]
             np.testing.assert_array_equal(pooled, ref)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        st.tuples(st.integers(3, 6), st.integers(2, 7), st.integers(2, 4)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]))
+        )
+    )
+    def test_batched_matches_brute_force(self, z):
+        # few distinct values make ties common; the first three items are
+        # forced to be one of each kind: tied rows that are identical, tied
+        # rows that differ in another channel, and no ties at all
+        batch_n, n, c = z.shape
+        z[0, 1] = z[0, 0]
+        z[1, 1, -1] = z[1, 0, -1]
+        z[1, 1, 0] = -1.0 if z[1, 0, 0] == 1.0 else 1.0
+        z[2, :, -1] = np.arange(n) * 0.25
+        for k in (n - 1, n, n + 2):
+            pooled, selected = nn._sort_pool(z, k)
+            assert pooled.shape == (batch_n, k, c)
+            assert selected.shape == (batch_n, min(n, k))
+            for b in range(batch_n):
+                order = sorted(range(n), key=lambda i: (tuple(-z[b, i, ::-1]), i))
+                ref = np.zeros((k, c))
+                ref[: min(n, k)] = z[b, order[: min(n, k)]]
+                np.testing.assert_array_equal(selected[b], order[:k])
+                # bitwise, so -0.0 rows stay -0.0 and padded rows are +0.0
+                np.testing.assert_array_equal(pooled[b].view(np.int64), ref.view(np.int64))
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
