@@ -104,11 +104,11 @@ def _curve_rows(curve: list[ltr.CurveRow]) -> list[list]:
 CURVE_HEADER = ["epoch", "split", "loss", "ndcg", "r2_ws", "r2_flops", "r2_params", "lr"]
 
 
-def _model_config_from_args(args, meta: space_mod.SpaceMeta, n_cells: int, seed: int) -> nn.ModelConfig:
+def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn.ModelConfig:
     return nn.ModelConfig(
-        vocab_size=len(meta.vocab),
-        hparam_dim=meta.hparam_dim,
-        n_cells=n_cells,
+        vocab_size=len(bench.meta.vocab),
+        hparam_dim=bench.meta.hparam_dim,
+        n_cells=len(next(iter(bench.records.values())).arch.cells),
         conv_channels=tuple([args.hidden] * args.layers),
         sortpool_nodes=args.sortpool,
         conv1d_channels=args.conv1d,
@@ -189,13 +189,9 @@ def cmd_pretrain(args) -> int:
 
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
-    chosen = sorted(rng.choice(len(bench), size=take, replace=False).tolist())
-    ids = [bench.ids[i] for i in chosen]
-    records = ltr.weak_view(bench, ids)
+    records = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
 
-    n_cells = len(next(iter(bench.records.values())).arch.cells)
-    model_cfg = _model_config_from_args(args, bench.meta, n_cells, seed=args.seed)
-    model = nn.build_model(model_cfg)
+    model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
     tcfg = ltr.TrainConfig.pretrain_defaults(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -229,21 +225,13 @@ def cmd_pretrain(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) -> list[list]:
+    """Per round: the budget spent so far, the best val_acc so far and the
+    test accuracy of its holder, picked in `metrics.rank_order`."""
     rows = []
-    best_id = None
-    best_val = -np.inf
-    by_round: dict[int, list[search.TraceEntry]] = {}
-    for e in trace.entries:
-        by_round.setdefault(e.round, []).append(e)
-    budget = 0
-    for rnd in sorted(by_round):
-        entries = by_round[rnd]
-        budget += len(entries)
-        for e in entries:
-            if e.val_acc > best_val or (e.val_acc == best_val and (best_id is None or e.arch_id < best_id)):
-                best_val = e.val_acc
-                best_id = e.arch_id
-        rows.append([rnd, budget, best_val, bench.records[best_id].test_acc])
+    for rnd in sorted({e.round for e in trace.entries}):
+        seen = [e for e in trace.entries if e.round <= rnd]
+        best = seen[metrics.rank_order([e.val_acc for e in seen], [e.arch_id for e in seen])[0]]
+        rows.append([rnd, len(seen), best.val_acc, bench.records[best.arch_id].test_acc])
     return rows
 
 
@@ -283,8 +271,7 @@ def cmd_search(args) -> int:
         loss = {"full": "lambdarank", "vanilla-mse": "mse", "ranknet": "ranknet"}[baseline]
         fresh = args.no_pretrain or baseline == "vanilla-mse"
         if fresh:
-            n_cells = len(next(iter(bench.records.values())).arch.cells)
-            model = nn.build_model(_model_config_from_args(args, bench.meta, n_cells, seed=args.seed))
+            model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
         else:
             if not args.checkpoint:
                 raise CliConfigError("--checkpoint is required (or pass --no-pretrain)")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metrics, nn
-from .space import BenchmarkRecord, EncodedArch, SearchSpace, encode_architecture
+from .space import EncodedArch, SearchSpace, encode_architecture
 
 log = logging.getLogger(__name__)
 
@@ -67,17 +67,6 @@ def weak_view(space: SearchSpace, ids: Sequence[str] | None = None) -> list[Weak
             )
         )
     return out
-
-
-def labeled_view(records: Sequence[BenchmarkRecord], vocab: Sequence[str]) -> list[LabeledExample]:
-    return [
-        LabeledExample(
-            arch_id=r.arch.id,
-            encoded=encode_architecture(r.arch, vocab),
-            val_acc=r.val_acc,
-        )
-        for r in records
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +183,14 @@ def ranknet_lambdas(scores, rels, sigma: float = 1.0) -> np.ndarray:
 
 def lambdarank_lambdas(scores, rels, sigma: float = 1.0, *, ids: Sequence[str]) -> np.ndarray:
     """RankNet coefficients scaled per pair by |delta NDCG| of swapping the
-    two items in the current predicted ranking (descending score, ties broken
-    by id)."""
+    two items in the current predicted ranking (`metrics.rank_order`)."""
     s = np.asarray(scores, dtype=np.float64)
     r = np.asarray(rels, dtype=np.float64)
     if s.shape != r.shape or s.size < 2:
         raise ValueError("scores and relevances must be equal-length lists of >= 2 items")
-    n = s.size
-    order = np.array(sorted(range(n), key=lambda i: (-s[i], ids[i])), dtype=np.intp)
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
+    order = metrics.rank_order(s, ids)
+    position = np.empty(s.size, dtype=np.intp)
+    position[order] = np.arange(s.size)
     delta_by_pos = metrics.pairwise_delta_ndcg(r[order])
     delta = delta_by_pos[position[:, None], position[None, :]]
     pair = np.where(

@@ -66,14 +66,27 @@ class RankedList:
         return np.array([it.rel for it in self.items], dtype=np.float64)
 
 
-def rank_by_score(entries: Sequence[tuple[str, float, float]]) -> RankedList:
-    """Build a RankedList from (id, score, rel) triples.
+def rank_order(scores, ids: Sequence[str]) -> np.ndarray:
+    """Item positions in descending score, ties broken by ascending id.
 
-    Sorting is descending by score with ties broken by ascending id, so the
-    ranking is reproducible across runs and platforms.
+    The package's one ranking rule: training, evaluation and selection all
+    order through it, so the loss trains the order that the metric scores and
+    the selector picks. Ids are sorted with Python's `sorted`, which keeps
+    exact `str` order (a numpy `<U` array strips trailing NULs); a stable
+    argsort on -score over that order then keeps ties (-0.0 == 0.0 included)
+    in id order.
     """
-    ordered = sorted(entries, key=lambda e: (-e[1], e[0]))
-    return RankedList(tuple(RankedItem(i, s, r) for i, s, r in ordered))
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != (len(ids),):
+        raise ValueError(f"{s.shape} scores for {len(ids)} ids")
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(-s[by_id], kind="stable")]
+
+
+def rank_by_score(entries: Sequence[tuple[str, float, float]]) -> RankedList:
+    """Build a RankedList from (id, score, rel) triples, in `rank_order`."""
+    order = rank_order([e[1] for e in entries], [e[0] for e in entries])
+    return RankedList(tuple(RankedItem(*entries[i]) for i in order))
 
 
 def fit_relevance_map(train_accs: Sequence[float], q: float = 0.2, max_rel: float = 20.0) -> RelevanceMap:

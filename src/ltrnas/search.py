@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ltr, metrics, nn
-from .space import Architecture, EncodedArch, SearchSpace, encode_architecture
+from .space import Architecture, EncodedArch, SearchSpace, draw_ids, encode_architecture
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,9 @@ class EvalProbe:
     val_accs: np.ndarray
 
 
-def _draw(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
-    """n distinct ids drawn uniformly, in their order in `ids`."""
-    return [ids[i] for i in sorted(rng.choice(len(ids), size=n, replace=False).tolist())]
-
-
 def make_probe(space: SearchSpace, size: int, seed: int) -> EvalProbe:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806]))
-    picked = _draw(rng, space.ids, min(size, len(space)))
+    picked = draw_ids(rng, space.ids, min(size, len(space)))
     return EvalProbe(
         ids=tuple(picked),
         encoded=tuple(encode_architecture(space.records[r].arch, space.meta.vocab) for r in picked),
@@ -145,11 +140,11 @@ def select_top_k(
     pool: Sequence[tuple[str, EncodedArch]],
     k: int,
 ) -> list[tuple[str, float]]:
-    """The k highest-scored candidates, ordered by (score desc, id asc)."""
+    """The k highest-scored candidates, in `metrics.rank_order`."""
     if k > len(pool):
         raise ValueError(f"top-k of {k} from a pool of {len(pool)}")
     scores = _score_pool(model, [enc for _, enc in pool])
-    order = sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i][0]))
+    order = metrics.rank_order(scores, [rid for rid, _ in pool])
     return [(pool[i][0], float(scores[i])) for i in order[:k]]
 
 
@@ -204,7 +199,7 @@ def iterative_search(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EA6]))
     trace = SearchTrace(config=cfg)
     unlabeled = list(view.ids)
-    labeled_ids: list[str] = []
+    examples: list[ltr.LabeledExample] = []
     current = model
     best_val = -np.inf
     n_exploit = 0 if model is None else int(cfg.exploit_fraction * cfg.per_round)
@@ -218,21 +213,18 @@ def iterative_search(
         remaining = [rid for rid in unlabeled if rid not in taken]
         n_random = cfg.per_round - len(picks)
         if n_random:
-            picks += [(rid, "random") for rid in _draw(rng, remaining, n_random)]
+            picks += [(rid, "random") for rid in draw_ids(rng, remaining, n_random)]
         for rid, origin in picks:
             val = view.reveal_val(rid)
             trace.entries.append(TraceEntry(round=rnd, arch_id=rid, origin=origin, val_acc=val))
-            labeled_ids.append(rid)
+            if model is not None:
+                examples.append(ltr.LabeledExample(arch_id=rid, encoded=view.encoded(rid), val_acc=val))
             best_val = max(best_val, val)
         taken = {rid for rid, _ in picks}
         unlabeled = [rid for rid in unlabeled if rid not in taken]
 
         ndcg_val = tau_val = None
         if model is not None:
-            examples = [
-                ltr.LabeledExample(arch_id=rid, encoded=view.encoded(rid), val_acc=view.reveal_val(rid))
-                for rid in labeled_ids
-            ]
             result = ltr.finetune(
                 model, examples, replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss
             )
@@ -243,7 +235,7 @@ def iterative_search(
         )
 
     if model is None:
-        top = _draw(rng, unlabeled, cfg.top_k)
+        top = draw_ids(rng, unlabeled, cfg.top_k)
     else:
         pool = [(rid, view.encoded(rid)) for rid in unlabeled]
         top = [rid for rid, _ in select_top_k(current, pool, cfg.top_k)]
@@ -264,7 +256,7 @@ def finalize(trace: SearchTrace, space: SearchSpace) -> tuple[Architecture, floa
     report its test accuracy (the single test-set read of a search)."""
     if not trace.entries:
         raise ValueError("empty trace")
-    best = min(trace.entries, key=lambda e: (-e.val_acc, e.arch_id))
+    best = trace.entries[metrics.rank_order([e.val_acc for e in trace.entries], trace.sampled_ids())[0]]
     trace.chosen_id = best.arch_id
     rec = space.records[best.arch_id]
     return rec.arch, rec.test_acc
@@ -278,6 +270,7 @@ def ws_greedy_baseline(space: SearchSpace, budget: int):
     missing = [rid for rid, rec in space.records.items() if rec.ws_acc is None]
     if missing:
         raise ValueError(f"{len(missing)} records have no weak label (e.g. {missing[0]!r})")
-    order = sorted(space.records.values(), key=lambda r: (-r.ws_acc, r.arch.id))
-    return order[:budget]
+    recs = list(space.records.values())
+    order = metrics.rank_order([r.ws_acc for r in recs], [r.arch.id for r in recs])
+    return [recs[i] for i in order[:budget]]
 

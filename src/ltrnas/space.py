@@ -301,6 +301,11 @@ def save_space(space: SearchSpace, path: str | Path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def draw_ids(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
+    """n distinct ids drawn uniformly, in their order in `ids`."""
+    return [ids[i] for i in sorted(rng.choice(len(ids), size=n, replace=False).tolist())]
+
+
 def encode_architecture(arch: Architecture, vocab: Sequence[str]) -> EncodedArch:
     """Encode each cell as a node one-hot matrix plus adjacency with self-loops.
 

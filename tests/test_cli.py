@@ -1,6 +1,7 @@
 """CLI tests: artifacts, determinism, exit codes, config precedence."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ltrnas import cli
+from ltrnas import cli, space
 from ltrnas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 SMALL_MODEL = [
@@ -154,6 +155,25 @@ class TestSearch:
         assert run(*argv) == EXIT_OK
         trace = [json.loads(l) for l in (out / "trace.jsonl").read_text().splitlines()]
         assert {t["origin"] for t in trace} <= {"random", "topk"}
+
+    def test_budget_curve_ties_pick_lowest_id(self, tmp_path):
+        # every val_acc equal: each round's best is the lowest id seen so far
+        sp = space.generate_synthetic_space(space.SynthConfig(size=60, seed=9))
+        flat = {rid: dataclasses.replace(rec, val_acc=50.0) for rid, rec in sp.records.items()}
+        space.save_space(space.SearchSpace(meta=sp.meta, records=flat), tmp_path / "flat.jsonl")
+        out = tmp_path / "run"
+        argv = ["search", "--out", out, "--seed", "5", "--space", tmp_path / "flat.jsonl",
+                "--baseline", "random", "--budget", "30", "--rounds", "3", "--topk", "3"]
+        assert run(*argv) == EXIT_OK
+        trace = [json.loads(l) for l in (out / "trace.jsonl").read_text().splitlines()]
+        with (out / "budget_curve.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["round"]) for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            seen = [t["arch_id"] for t in trace if t["round"] <= int(row["round"])]
+            assert int(row["budget"]) == len(seen)
+            assert float(row["best_val_so_far"]) == 50.0
+            assert float(row["test_acc_of_best_val"]) == flat[min(seen)].test_acc
 
     def test_ws_greedy_baseline(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "greedy"

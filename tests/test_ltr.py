@@ -1,5 +1,7 @@
 """Training-procedure tests: losses, lambda coefficients, both trainers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from ltrnas.ltr import (
     WeakRecord,
     finetune,
     fit_normalizer,
-    labeled_view,
     lambdarank_lambdas,
     multitask_mse,
     pretrain,
@@ -35,6 +36,14 @@ MODEL_CFG = nn.ModelConfig(
 def weak_space():
     cfg = space.SynthConfig(size=300, seed=33)
     return space.calibrate_weak_labels(space.generate_synthetic_space(cfg), 0.9, seed=2)
+
+
+def labeled(records, vocab):
+    """Finetuning examples for `records`, as the search builds them on reveal."""
+    return [
+        LabeledExample(arch_id=r.arch.id, encoded=space.encode_architecture(r.arch, vocab), val_acc=r.val_acc)
+        for r in records
+    ]
 
 
 def brute_force_lambdarank(scores, rels, sigma, ids):
@@ -207,10 +216,9 @@ class TestViews:
         assert not hasattr(recs[0], "val_acc")
         assert not hasattr(recs[0], "test_acc")
 
-    def test_labeled_view_hygiene(self, weak_space):
-        ex = labeled_view([next(iter(weak_space.records.values()))], weak_space.meta.vocab)
-        assert not hasattr(ex[0], "test_acc")
-        assert not hasattr(ex[0], "ws_acc")
+    def test_labeled_view_hygiene(self):
+        # finetuning examples carry the revealed validation accuracy and nothing else
+        assert {f.name for f in dataclasses.fields(LabeledExample)} == {"arch_id", "encoded", "val_acc"}
 
     def test_weak_view_requires_labels(self):
         sp = space.generate_synthetic_space(space.SynthConfig(size=10, seed=1))
@@ -275,13 +283,13 @@ class TestFinetune:
         ids = list(weak_space.ids)
         recs = sorted(weak_space.records.values(), key=lambda r: r.val_acc)
         pair = [recs[10], recs[-10]]
-        examples = labeled_view(pair, weak_space.meta.vocab)
+        examples = labeled(pair, weak_space.meta.vocab)
         result = finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=60, seed=3))
         scores, _ = nn.forward(result.model, [e.encoded for e in examples], "rank")
         assert scores[1] > scores[0]
 
     def test_needs_two_records(self, weak_space):
-        examples = labeled_view([next(iter(weak_space.records.values()))], weak_space.meta.vocab)
+        examples = labeled([next(iter(weak_space.records.values()))], weak_space.meta.vocab)
         with pytest.raises(ValueError):
             finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=1, seed=0))
 
@@ -301,7 +309,7 @@ class TestFinetune:
         trained, untrained = [], []
         for seed in range(10):
             pick = rng.choice(200, size=100, replace=False)
-            examples = labeled_view([weak_space.records[ids[i]] for i in pick], weak_space.meta.vocab)
+            examples = labeled([weak_space.records[ids[i]] for i in pick], weak_space.meta.vocab)
             model = nn.build_model(nn.ModelConfig(**{**MODEL_CFG.__dict__, "seed": seed}))
             result = finetune(model, examples, TrainConfig(epochs=40, early_stop_patience=10, seed=seed))
             rmap = result.relevance_map
@@ -313,7 +321,7 @@ class TestFinetune:
         # a 2-value holdout NDCG can improve at most twice, so patience of 50
         # must trigger well before 300 epochs
         records = [weak_space.records[r] for r in weak_space.ids[:12]]
-        examples = labeled_view(records, weak_space.meta.vocab)
+        examples = labeled(records, weak_space.meta.vocab)
         cfg = TrainConfig(epochs=300, early_stop_patience=50, seed=3)
         result = finetune(nn.build_model(MODEL_CFG), examples, cfg)
         assert result.stopped_epoch < cfg.epochs
@@ -322,7 +330,7 @@ class TestFinetune:
         recs = list(weak_space.records.values())[:8]
         flat = [space.BenchmarkRecord(arch=r.arch, val_acc=50.0, test_acc=r.test_acc,
                                       ws_acc=r.ws_acc, flops=r.flops, params=r.params) for r in recs]
-        examples = labeled_view(flat, weak_space.meta.vocab)
+        examples = labeled(flat, weak_space.meta.vocab)
         with caplog.at_level("WARNING"):
             result = finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=2, seed=0))
         assert result.relevance_map is None
@@ -330,7 +338,7 @@ class TestFinetune:
 
     def test_auxiliary_heads_frozen(self, weak_space):
         records = [weak_space.records[r] for r in weak_space.ids[:20]]
-        examples = labeled_view(records, weak_space.meta.vocab)
+        examples = labeled(records, weak_space.meta.vocab)
         model = nn.build_model(MODEL_CFG)
         result = finetune(model, examples, TrainConfig(epochs=3, seed=3))
         for name in model.store.names():
@@ -340,7 +348,7 @@ class TestFinetune:
 
     def test_deterministic(self, weak_space):
         records = [weak_space.records[r] for r in weak_space.ids[:30]]
-        examples = labeled_view(records, weak_space.meta.vocab)
+        examples = labeled(records, weak_space.meta.vocab)
         cfg = TrainConfig(epochs=4, seed=9)
         m1 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model
         m2 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model

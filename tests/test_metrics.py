@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltrnas import metrics
 from ltrnas.metrics import (
@@ -19,6 +21,7 @@ from ltrnas.metrics import (
     pairwise_delta_ndcg,
     pearson,
     rank_by_score,
+    rank_order,
     top_k_regret,
 )
 
@@ -312,3 +315,27 @@ class TestRankedList:
     def test_negative_relevance_rejected(self):
         with pytest.raises(ValueError):
             rank_by_score([("a", 1.0, -0.5)])
+
+
+# Ids with a shared prefix, tails of different lengths, non-ASCII characters
+# and NULs (which a numpy `<U` array would strip from the end).
+_IDS = st.text(alphabet=["a", "b", "\x00", "é", "ß", "Ω"], max_size=3).map(lambda tail: "arch-" + tail)
+
+
+class TestRankOrder:
+    # few distinct scores make ties common; lists run past the length where
+    # numpy's default sort stops being an insertion sort (and so stable)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), _IDS), max_size=40))
+    @example([(0.0, "b"), (-0.0, "a"), (1.0, "c")])
+    @example([(0.5, "arch-a\x00"), (0.5, "arch-a"), (0.5, "arch-é"), (0.5, "arch-b")])
+    def test_matches_python_key(self, items):
+        scores = [s for s, _ in items]
+        ids = [i for _, i in items]
+        order = rank_order(np.array(scores), ids)
+        assert order.dtype == np.intp
+        assert order.tolist() == sorted(range(len(items)), key=lambda i: (-scores[i], ids[i]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            rank_order([1.0, 2.0], ["a"])

@@ -37,10 +37,21 @@ TINY = ModelConfig(
     seed=11,
 )
 
+# TINY over two cells: each cell has its own encoder pass, and the readouts
+# are sliced apart again in backward
+TINY_TWO_CELLS = ModelConfig(**{**TINY.__dict__, "n_cells": 2})
+
 
 @pytest.fixture(scope="module")
 def tiny_encs():
     cfg = space.SynthConfig(size=24, node_range=(3, 5), vocab_size=4, hparam_dim=2, seed=5)
+    sp = space.generate_synthetic_space(cfg)
+    return [space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()]
+
+
+@pytest.fixture(scope="module")
+def two_cell_encs():
+    cfg = space.SynthConfig(size=24, node_range=(3, 5), vocab_size=4, hparam_dim=2, n_cells=2, seed=7)
     sp = space.generate_synthetic_space(cfg)
     return [space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()]
 
@@ -87,6 +98,12 @@ class TestForward:
         batch, _ = forward(m, tiny_encs[:20], "rank")
         solo, _ = forward(m, [tiny_encs[13]], "rank")
         assert solo[0] == batch[13]
+
+    def test_batch_independence_bitwise_two_cells(self, two_cell_encs):
+        m = build_model(TINY_TWO_CELLS)
+        batch, _ = forward(m, two_cell_encs[:20], "rank")
+        solo = np.array([forward(m, [enc], "rank")[0][0] for enc in two_cell_encs[:20]])
+        np.testing.assert_array_equal(solo.view(np.int64), batch.view(np.int64))
 
     def test_eval_deterministic(self, tiny_encs):
         m = build_model(TINY)
@@ -273,6 +290,9 @@ class TestBackward:
         # random tiny model, under 200 parameters, checked through every layer
         assert build_model(TINY).store.num_params() <= 200
         assert _fd_check(TINY, tiny_encs, batch_size=3) < 1e-4
+
+    def test_finite_differences_two_cells(self, two_cell_encs):
+        assert _fd_check(TINY_TWO_CELLS, two_cell_encs, batch_size=3) < 1e-4
 
     def test_zero_upstream_zero_grads(self, tiny_encs):
         m = build_model(TINY)

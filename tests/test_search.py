@@ -1,6 +1,8 @@
 """Search-loop tests: budget accounting, exploit/explore split, selection,
 finalize, and the random and ws-greedy baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,11 @@ class TestSelectTopK:
         rng = np.random.default_rng(5)
         ids = list(bench.ids)
         lab = [bench.records[ids[i]] for i in rng.choice(len(ids), 60, replace=False)]
-        examples = ltr.labeled_view(lab, bench.meta.vocab)
+        examples = [
+            ltr.LabeledExample(arch_id=r.arch.id, encoded=space.encode_architecture(r.arch, bench.meta.vocab),
+                               val_acc=r.val_acc)
+            for r in lab
+        ]
         result = ltr.finetune(nn.build_model(MODEL_CFG), examples, ltr.TrainConfig(epochs=30, early_stop_patience=10, seed=1))
         view = SearchView(bench)
         pool = [(rid, view.encoded(rid)) for rid in view.ids]
@@ -254,6 +260,19 @@ class TestWsGreedy:
         selected = ws_greedy_baseline(bench, 20)
         ws = [r.ws_acc for r in selected]
         assert ws == sorted(ws, reverse=True)
+
+    def test_equal_weak_labels_in_id_order(self, bench):
+        # two weak-label levels, records stored in descending id order: the
+        # selection is by level, and within a level by ascending id
+        ids = sorted(bench.ids, reverse=True)
+        recs = {
+            rid: dataclasses.replace(bench.records[rid], ws_acc=70.0 if k % 3 else 60.0)
+            for k, rid in enumerate(ids)
+        }
+        selected = ws_greedy_baseline(space.SearchSpace(meta=bench.meta, records=recs), 60)
+        expected = sorted(recs.values(), key=lambda r: (-r.ws_acc, r.arch.id))[:60]
+        assert [r.arch.id for r in selected] == [r.arch.id for r in expected]
+        assert [r.ws_acc for r in selected] == [70.0] * 60
 
     def test_missing_labels_rejected(self):
         sp = space.generate_synthetic_space(space.SynthConfig(size=10, seed=0))

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Run a fixed matrix of ltrnas CLI commands with the package found in SRC_DIR
+# and write every output under OUT_DIR. Two trees (say, of two commits) have
+# byte-identical outputs exactly when `diff -r` of their OUT_DIRs is empty.
+#
+# usage: tools/cli_matrix.sh SRC_DIR OUT_DIR
+#   SRC_DIR  the directory that holds the ltrnas package (a checkout's src/)
+#   OUT_DIR  a new or empty directory
+#
+# The matrix, at the flags of bench/run.py and with fixed seeds:
+#   synth     5000 records, nodes 5-11, vocabulary 9, tau 0.6
+#   pretrain  1000 weak labels, 1 epoch, the 4x64 model with sort-pool 12
+#   search    full, ranknet, vanilla-mse, random, ws-greedy and full with
+#             --no-pretrain: budget 100 in 5 rounds, top-10, 60 epochs,
+#             patience 15, probe 512
+#   report    over the six search runs
+# Commands run inside OUT_DIR with relative paths, so the paths recorded in
+# run_config.json match between runs. Each command's standard output is
+# appended to OUT_DIR/stdout.txt. About 40 s on a 2-vCPU VM.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+if [ ! -f "$src/ltrnas/cli.py" ]; then
+    echo "error: $src has no ltrnas/cli.py" >&2
+    exit 2
+fi
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+if [ -n "$(ls -A "$out")" ]; then
+    echo "error: $out is not empty" >&2
+    exit 2
+fi
+
+model=(--hidden 64 --layers 4 --sortpool 12 --conv1d 16 --hparam-proj 8 --head-hidden 64)
+search=(--seed 3 --space space/space.jsonl --budget 100 --rounds 5 --topk 10 --epochs 60
+        --patience 15 --probe-size 512 "${model[@]}")
+
+ltrnas() {
+    PYTHONPATH="$src" python3 -m ltrnas.cli "$@" >> stdout.txt
+}
+
+cd "$out"
+ltrnas synth --out space --seed 1 --size 5000 --nodes-min 5 --nodes-max 11 --vocab-size 9 --tau 0.6
+ltrnas pretrain --out pre --seed 2 --space space/space.jsonl --sample 1000 --lr 0.005 --epochs 1 "${model[@]}"
+ltrnas search --out search-full --checkpoint pre/checkpoint.json "${search[@]}"
+for baseline in ranknet vanilla-mse random ws-greedy; do
+    ltrnas search --out "search-$baseline" --baseline "$baseline" --checkpoint pre/checkpoint.json "${search[@]}"
+done
+ltrnas search --out search-no-pretrain --no-pretrain "${search[@]}"
+ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
+    search-no-pretrain --out report
