@@ -6,7 +6,7 @@ alone. Outputs contain no timestamps: identical invocations produce
 byte-identical files.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
-4 runtime failure.
+4 runtime failure (any other error, internal bugs included).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,6 +54,14 @@ def _prepare_out_dir(path_str: str | None) -> Path:
         raise CliIoError(f"output directory {path} does not exist (missing parent {path.parent})")
     path.mkdir()
     return path
+
+
+def _checked(make_config, **fields):
+    """Build a config object; its validation errors are configuration errors."""
+    try:
+        return make_config(**fields)
+    except ValueError as e:
+        raise CliConfigError(str(e)) from e
 
 
 def _require(args, *names) -> None:
@@ -105,7 +114,8 @@ CURVE_HEADER = ["epoch", "split", "loss", "ndcg", "r2_ws", "r2_flops", "r2_param
 
 
 def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn.ModelConfig:
-    return nn.ModelConfig(
+    return _checked(
+        nn.ModelConfig,
         vocab_size=len(bench.meta.vocab),
         hparam_dim=bench.meta.hparam_dim,
         n_cells=len(next(iter(bench.records.values())).arch.cells),
@@ -136,15 +146,11 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_synth(args) -> int:
     _require(args, "seed", "out")
     out = _prepare_out_dir(args.out)
-    cfg = space_mod.SynthConfig(
-        size=args.size,
-        node_range=(args.nodes_min, args.nodes_max),
-        vocab_size=args.vocab_size,
-        hparam_dim=args.hparam_dim,
-        n_cells=args.cells,
-        seed=args.seed,
-        name=args.name,
-    )
+    if not 0.0 <= args.tau <= 1.0:
+        raise CliConfigError(f"--tau must be in [0, 1], got {args.tau}")
+    cfg = _checked(space_mod.SynthConfig, size=args.size, node_range=(args.nodes_min, args.nodes_max),
+                   vocab_size=args.vocab_size, hparam_dim=args.hparam_dim, n_cells=args.cells,
+                   seed=args.seed, name=args.name)
     run_cfg = _run_config(args, out)
 
     generated = space_mod.generate_synthetic_space(cfg)
@@ -187,18 +193,15 @@ def cmd_pretrain(args) -> int:
     bench = _load_space(args.space)
     run_cfg = _run_config(args, out)
 
+    if args.sample < 2:
+        raise CliConfigError(f"--sample must be >= 2, got {args.sample}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
     records = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
 
     model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
-    tcfg = ltr.TrainConfig.pretrain_defaults(
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        lr0=args.lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
+    tcfg = _checked(ltr.TrainConfig.pretrain_defaults, batch_size=args.batch_size, epochs=args.epochs,
+                    lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
     result = ltr.pretrain(model, records, tcfg)
 
     nn.save_checkpoint(result.model, out / "checkpoint.json")
@@ -239,16 +242,10 @@ def cmd_search(args) -> int:
     _require(args, "seed", "out", "space")
     out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
-    if args.budget % args.rounds != 0:
+    if args.rounds < 1 or args.budget % args.rounds != 0:
         raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
-    per_round = args.budget // args.rounds
-    scfg = search.SearchConfig(
-        per_round=per_round,
-        rounds=args.rounds,
-        exploit_fraction=args.alpha,
-        top_k=args.topk,
-        seed=args.seed,
-    )
+    scfg = _checked(search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
+                    exploit_fraction=args.alpha, top_k=args.topk, seed=args.seed)
     baseline = args.baseline or "full"
     if baseline not in ("full", "vanilla-mse", "ranknet", "ws-greedy", "random"):
         raise CliConfigError(f"unknown baseline {baseline!r}")
@@ -277,18 +274,15 @@ def cmd_search(args) -> int:
                 raise CliConfigError("--checkpoint is required (or pass --no-pretrain)")
             if not Path(args.checkpoint).is_file():
                 raise CliIoError(f"checkpoint {args.checkpoint} does not exist")
-            model = nn.load_checkpoint(args.checkpoint)
+            try:
+                model = nn.load_checkpoint(args.checkpoint)
+            except (ValueError, KeyError, TypeError) as e:
+                raise CliConfigError(f"checkpoint {args.checkpoint}: {e}") from e
             if model.config.vocab_size != len(bench.meta.vocab) or model.config.hparam_dim != bench.meta.hparam_dim:
                 raise CliConfigError("checkpoint was trained for a different space shape")
-        tcfg = ltr.TrainConfig(
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            lr0=args.lr,
-            weight_decay=args.weight_decay,
-            early_stop_patience=args.patience if args.patience > 0 else None,
-            sigma=args.sigma,
-            seed=args.seed,
-        )
+        tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
+                        weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
+                        early_stop_patience=args.patience if args.patience > 0 else None)
         view = search.SearchView(bench)
         probe = search.make_probe(bench, args.probe_size, seed=args.seed) if args.probe_size > 0 else None
         final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=loss, probe=probe)
@@ -359,9 +353,12 @@ def cmd_report(args) -> int:
         if not path.is_file():
             raise CliIoError(f"run directory {run_dir} has no summary.json")
         try:
-            summaries.append(json.loads(path.read_text(encoding="utf-8")))
+            summary = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise CliIoError(f"{path}: malformed summary ({e.msg})") from e
+        if not isinstance(summary, dict) or not {"config_hash", "baseline"} <= summary.keys():
+            raise CliIoError(f"{path}: malformed summary (no config_hash or baseline)")
+        summaries.append(summary)
     if not summaries:
         raise CliConfigError("no run directories given")
 
@@ -515,19 +512,14 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, registry, argv)
         return args.func(args)
-    except CliConfigError as e:
+    except (CliConfigError, space_mod.SpaceParseError, space_mod.SpaceValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CliIoError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (CliIoError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except Exception as e:  # noqa: BLE001 - boundary: map anything else to a runtime exit code
+        traceback.print_exc(file=sys.stderr)
         print(f"runtime error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metrics, nn
-from .space import EncodedArch, SearchSpace, encode_architecture
+from .space import EncodedArch, SearchSpace, SpaceValidationError, encode_architecture
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ def weak_view(space: SearchSpace, ids: Sequence[str] | None = None) -> list[Weak
     for rid in chosen:
         rec = space.records[rid]
         if rec.ws_acc is None:
-            raise ValueError(f"record {rid!r} has no weak label; calibrate or load ws_acc first")
+            raise SpaceValidationError(f"record {rid!r} has no weak label; calibrate or load ws_acc first")
         out.append(
             WeakRecord(
                 arch_id=rid,
@@ -286,6 +286,10 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np
     return chunks
 
 
+def _weak_labels(records: Sequence[WeakRecord]) -> dict[str, list[float]]:
+    return {"ws": [r.ws_acc for r in records], "flops": [r.flops for r in records], "params": [r.params for r in records]}
+
+
 def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainConfig) -> PretrainResult:
     """Train the auxiliary heads (ws/flops/params) with multi-task MSE on
     normalized labels; Adam with cosine decay, no early stopping by default.
@@ -300,20 +304,10 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
     train_idx, hold_idx = _split_holdout(len(records), cfg.holdout_fraction, rng, minimum=2)
     train = [records[i] for i in train_idx]
     hold = [records[i] for i in hold_idx]
+    packed = nn.pack([r.encoded for r in records])
     nn.set_hparam_stats(model, [r.encoded for r in train])
-    normalizer = fit_normalizer(
-        {
-            "ws": [r.ws_acc for r in train],
-            "flops": [r.flops for r in train],
-            "params": [r.params for r in train],
-        }
-    )
-
-    labels = {
-        "ws": normalizer.normalize("ws", [r.ws_acc for r in train]),
-        "flops": normalizer.normalize("flops", [r.flops for r in train]),
-        "params": normalizer.normalize("params", [r.params for r in train]),
-    }
+    normalizer = fit_normalizer(_weak_labels(train))
+    labels = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(train).items()}
     # The rank head is not part of the pretraining model (the auxiliary heads
     # replace it); leaving it in the optimizer would let Adam's normalized
     # weight-decay steps grind its untouched weights to zero.
@@ -326,9 +320,8 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
         epoch_losses = []
         for batch_idx in _epoch_batches(len(train), cfg.batch_size, rng):
             lr = nn.cosine_lr(step, total_steps, cfg.lr0)
-            batch = [train[i].encoded for i in batch_idx]
             preds, ctx = nn.forward_heads(
-                model, batch, CHANNELS, train_mode=True,
+                model, packed.take(train_idx[batch_idx]), CHANNELS, train_mode=True,
                 dropout_seed=int(seed_rng.integers(0, 2**31)),
             )
             batch_labels = {ch: labels[ch][batch_idx] for ch in CHANNELS}
@@ -341,12 +334,8 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
 
     r2 = {ch: float("nan") for ch in CHANNELS}
     if len(hold) >= 2:
-        preds, _ = nn.forward_heads(model, [r.encoded for r in hold], CHANNELS)
-        targets = {
-            "ws": normalizer.normalize("ws", [r.ws_acc for r in hold]),
-            "flops": normalizer.normalize("flops", [r.flops for r in hold]),
-            "params": normalizer.normalize("params", [r.params for r in hold]),
-        }
+        preds, _ = nn.forward_heads(model, packed.take(hold_idx), CHANNELS)
+        targets = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(hold).items()}
         r2 = {ch: r_squared(preds[ch], targets[ch]) for ch in CHANNELS}
         curve.append(
             CurveRow(epoch=cfg.epochs, split="holdout",
@@ -398,7 +387,8 @@ def finetune(
 
     train_idx, hold_idx = _stratified_holdout(accs, cfg.holdout_fraction, minimum=2)
     train = [examples[i] for i in train_idx]
-    hold = [examples[i] for i in hold_idx]
+    packed = nn.pack([e.encoded for e in examples])
+    hold_batch = packed.take(hold_idx) if len(hold_idx) >= 2 else None
     rels_train = rels_all[train_idx]
     hold_ranked_entries = [(examples[i].arch_id, float(rels_all[i])) for i in hold_idx]
 
@@ -421,11 +411,10 @@ def finetune(
         epoch_losses = []
         for batch_idx in _epoch_batches(len(train), cfg.batch_size, rng):
             lr = nn.cosine_lr(step, total_steps, cfg.lr0)
-            batch = [train[i].encoded for i in batch_idx]
             ids = [train[i].arch_id for i in batch_idx]
             rels = rels_train[batch_idx]
             scores, ctx = nn.forward(
-                model, batch, "rank", train_mode=True,
+                model, packed.take(train_idx[batch_idx]), "rank", train_mode=True,
                 dropout_seed=int(seed_rng.integers(0, 2**31)),
             )
             if loss == "mse":
@@ -447,8 +436,8 @@ def finetune(
             step += 1
         curve.append(CurveRow(epoch=epoch, split="train", loss=float(np.mean(epoch_losses)), lr=lr))
 
-        if len(hold) >= 2:
-            hold_scores, _ = nn.forward(model, [e.encoded for e in hold], "rank")
+        if hold_batch is not None:
+            hold_scores, _ = nn.forward(model, hold_batch, "rank")
             ranked = metrics.rank_by_score(
                 [(rid, float(s), rel) for (rid, rel), s in zip(hold_ranked_entries, hold_scores)]
             )

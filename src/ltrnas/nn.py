@@ -2,16 +2,22 @@
 
 The encoder stacks directed graph-convolution layers (row-normalized
 propagation along edge direction, tanh), reads the node features out through
-sort-pooling, and runs a node-wise 1-D convolution over the pooled rows.
-Cell embeddings are concatenated with a projection of the standardized
-hyper-parameters, and four independent two-layer perceptron heads (rank,
-ws, flops, params) each emit one scalar per item.
+DGCNN sort-pooling (Zhang et al., AAAI 2018), and runs a node-wise 1-D
+convolution over the pooled rows. Cell embeddings are concatenated with a
+projection of the standardized hyper-parameters, and four independent
+two-layer perceptron heads (rank, ws, flops, params) each emit one scalar per
+item.
 
-Everything is double precision and the backward pass is exact reverse-mode
-differentiation of the fixed operator set above, so finite differences can
-be used as a hard oracle. Forward in eval mode is a pure function of
-(parameters, input); train mode adds seeded inverted dropout inside the
-heads.
+Batches are packed once per set (`pack`, then `Packed.take`): op indices and
+propagation matrices zero-padded to the largest node count. Eval scores one
+unpadded chunk per node count and keeps no activations; train runs the batch
+dense, with padded rows sorted after every real row. Backward sums each
+reduction per node-count group, so every score and gradient is bitwise that
+of the groups run one by one. Everything is double precision and the
+backward pass is exact reverse-mode differentiation of the fixed operator
+set above, so finite differences can be used as a hard oracle. Forward in
+eval mode is a pure function of (parameters, input); train mode adds seeded
+inverted dropout inside the heads.
 """
 
 from __future__ import annotations
@@ -154,6 +160,60 @@ def set_hparam_stats(model: RankingModel, encs: Sequence[EncodedArch]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# packed batches
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Packed:
+    """Encoder inputs: per cell, op indices (B, N) and propagation matrices
+    zero-padded to (B, N, N), N the cell's largest node count in the batch;
+    node counts (B, n_cells); hyper-parameters (B, hparam_dim)."""
+
+    ops: tuple[np.ndarray, ...]
+    prop: tuple[np.ndarray, ...]
+    nodes: np.ndarray
+    hparams: np.ndarray
+    vocab_size: int
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def take(self, idx) -> "Packed":
+        """The items at positions `idx`, padded to their own largest node counts."""
+        nodes = self.nodes[idx]
+        top = nodes.max(axis=0)
+        ops = tuple(o[idx, :m] for o, m in zip(self.ops, top))
+        prop = tuple(q[idx, :m, :m] for q, m in zip(self.prop, top))
+        return Packed(ops, prop, nodes, self.hparams[idx], self.vocab_size)
+
+
+def pack(encs: Sequence[EncodedArch]) -> Packed:
+    """Validate encodings once and pack them. Row v of adj^T selects v's
+    in-neighbors (and v itself, by its self-loop); dividing by the row sum
+    makes each propagated feature a convex combination."""
+    if not encs:
+        raise ValueError("empty batch")
+    if len({(len(e.cells), e.hparams.shape, *(c.onehot.shape[1] for c in e.cells)) for e in encs}) > 1:
+        raise ValueError("encodings differ in cell count, vocab size or hparam shape")
+    vocab = encs[0].cells[0].onehot.shape[1]
+    nodes = np.array([[len(cell.onehot) for cell in enc.cells] for enc in encs], dtype=np.intp)
+    ops, prop = [], []
+    for c, top in enumerate(nodes.max(axis=0)):
+        onehot = np.concatenate([enc.cells[c].onehot for enc in encs])
+        op = onehot.argmax(axis=1)
+        if not np.array_equal(onehot, np.eye(vocab)[op]):
+            raise ValueError(f"cell {c}: node rows are not one-hot")
+        ops.append(np.zeros((len(encs), top), dtype=np.intp))
+        ops[c][np.arange(top) < nodes[:, c, None]] = op
+        prop.append(np.zeros((len(encs), top, top)))
+        for n in np.unique(nodes[:, c]):
+            idx = np.flatnonzero(nodes[:, c] == n)
+            incoming = np.transpose(np.stack([encs[i].cells[c].adjacency for i in idx]), (0, 2, 1))
+            prop[c][idx, :n, :n] = incoming / incoming.sum(axis=2, keepdims=True)
+    return Packed(tuple(ops), tuple(prop), nodes, np.stack([enc.hparams for enc in encs]), vocab)
+
+
+# ---------------------------------------------------------------------------
 # sort-pooling
 # ---------------------------------------------------------------------------
 
@@ -170,25 +230,37 @@ def sort_pool(node_features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return pooled[0], selected[0]
 
 
-def _sort_pool(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched sort-pooling of (B, n, c) features: (B, k, c) pooled rows and
-    the (B, min(n, k)) selected source rows, in the order of `sort_pool`.
+def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.ndarray:
+    """The (B, min(N, k)) source rows that sort-pooling of (B, N, c) features
+    selects, in the order of `sort_pool`. Rows at or past an item's node
+    count in `nodes` are padding, keyed +inf to sort after every real row.
 
     A stable argsort on the last channel is already the full order unless
     two rows tie there but differ elsewhere; only items with such a pair are
     re-sorted on every channel. Identical tied rows keep index order, and
-    -0.0 ties with 0.0.
-    """
-    batch_n, n, c = h.shape
-    orders = np.argsort(-h[:, :, -1], axis=1, kind="stable")
-    ranked = np.take_along_axis(h[:, :, -1], orders, axis=1)
+    -0.0 ties with 0.0."""
+    key = -h[:, :, -1]
+    if nodes is not None:
+        key[np.arange(h.shape[1]) >= nodes[:, None]] = np.inf
+    orders = np.argsort(key, axis=1, kind="stable")
+    ranked = np.take_along_axis(key, orders, axis=1)
     b, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
     differ = np.unique(b[(h[b, orders[b, j]] != h[b, orders[b, j + 1]]).any(axis=1)])
     if differ.size:
-        orders[differ] = np.lexsort(-np.moveaxis(h[differ], 2, 0), axis=-1)
-    selected = orders[:, : min(n, k)]
-    pooled = np.zeros((batch_n, k, c))
+        keys = -h[differ]
+        keys[:, :, -1] = key[differ]
+        orders[differ] = np.lexsort(np.moveaxis(keys, 2, 0), axis=-1)
+    return orders[:, : min(h.shape[1], k)]
+
+
+def _sort_pool(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled rows (B, k, c) and `_sort_order`'s selection; slots past the
+    selection, or taken from padding, are +0.0."""
+    selected = _sort_order(h, k, nodes)
+    pooled = np.zeros((len(h), k, h.shape[2]))
     pooled[:, : selected.shape[1]] = np.take_along_axis(h, selected[:, :, None], axis=1)
+    if nodes is not None:
+        pooled[:, : selected.shape[1]][selected >= nodes[:, None]] = 0.0
     return pooled, selected
 
 
@@ -202,27 +274,29 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 # forward / backward
 # ---------------------------------------------------------------------------
 
+EVAL_CHUNK = 1024  # most items scored at once in eval mode, which bounds its memory
+
+
 @dataclass
 class _CellTrace:
+    ops: np.ndarray                  # (B, N) layer-0 op indices
     prop: np.ndarray                 # (B, N, N) row-normalized propagation
-    layer_inputs: list[np.ndarray]   # inputs to each conv layer, (B, N, c_in)
-    layer_outputs: list[np.ndarray]  # tanh outputs per layer, (B, N, c_out)
+    nodes: np.ndarray                # (B,) node counts; rows past them are padding
+    outputs: list[np.ndarray]        # tanh outputs per layer, (B, N, c_out)
     selected: np.ndarray             # (B, k_eff) sort-pool source rows
-    pooled: np.ndarray               # (B, k, c_last)
+    pooled: np.ndarray               # (B, k, c_total)
     conv_pre: np.ndarray             # (B, k, oc) pre-activation of the 1-D conv
 
 
 @dataclass
-class _GroupTrace:
-    index: np.ndarray                # batch positions in this group
+class _Activations:
     cells: list[_CellTrace]
     hp_norm: np.ndarray | None       # (B, d) standardized hyper-parameters
     hp_out: np.ndarray | None        # (B, proj) tanh projection
     embed: np.ndarray                # (B, E)
     head_pre: dict[str, np.ndarray]
-    head_act: dict[str, np.ndarray]  # post-ReLU, pre-dropout
-    head_dropped: dict[str, np.ndarray]
     head_mask: dict[str, np.ndarray | None]
+    head_dropped: dict[str, np.ndarray]
 
 
 @dataclass
@@ -231,162 +305,108 @@ class ForwardContext:
     train_mode: bool
     batch_size: int
     store_version: int
-    groups: list[_GroupTrace]
+    order: np.ndarray                # batch positions in ascending node-count order
+    bounds: list[int]                # node-count group boundaries within `order`
+    saved: _Activations | None = None  # train mode only, items in `order`
 
 
 def forward_heads(
-    model: RankingModel,
-    batch: Sequence[EncodedArch],
-    heads: Sequence[str] = ("rank",),
-    train_mode: bool = False,
-    dropout_seed: int | None = None,
+    model: RankingModel, batch: Packed | Sequence[EncodedArch], heads: Sequence[str] = ("rank",),
+    train_mode: bool = False, dropout_seed: int | None = None,
 ) -> tuple[dict[str, np.ndarray], ForwardContext]:
-    """Score a batch with one encoder pass and the selected heads.
-
-    Items are grouped by per-cell node counts so each group runs as one
-    stacked matmul chain; outputs are identical to scoring items one at a
-    time. Returns per-head score vectors plus the saved activations needed
-    by backward.
+    """Score a batch with one encoder pass and the selected heads; a
+    sequence of encodings is packed on entry. Returns per-head score
+    vectors plus, in train mode, the activations backward needs.
     """
     cfg = model.config
     for head in heads:
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
-    _check_batch(model, batch)
+    packed = batch if isinstance(batch, Packed) else pack(batch)
+    if (len(packed.ops), packed.vocab_size, packed.hparams.shape[1]) != (cfg.n_cells, cfg.vocab_size, cfg.hparam_dim):
+        raise ValueError(f"batch has {len(packed.ops)} cells, vocab size {packed.vocab_size} and hparam dim "
+                         f"{packed.hparams.shape[1]}; the model {cfg.n_cells}, {cfg.vocab_size} and {cfg.hparam_dim}")
     if train_mode and cfg.dropout > 0.0 and dropout_seed is None:
         raise ValueError("train-mode forward with dropout needs a dropout seed")
     rng = np.random.default_rng(np.random.SeedSequence([0 if dropout_seed is None else dropout_seed, 0xD507]))
 
-    p = model.store.params
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, enc in enumerate(batch):
-        key = tuple(cell.onehot.shape[0] for cell in enc.cells)
-        groups.setdefault(key, []).append(pos)
-
-    scores = {h: np.zeros(len(batch)) for h in heads}
-    traces = []
-    for key in sorted(groups):
-        index = np.array(groups[key], dtype=np.intp)
-        items = [batch[i] for i in index]
-        cell_traces = []
-        flats = []
-        for c in range(cfg.n_cells):
-            onehot = np.stack([it.cells[c].onehot for it in items])
-            adj = np.stack([it.cells[c].adjacency for it in items])
-            trace, flat = _encode_cell(cfg, p, onehot, adj)
-            cell_traces.append(trace)
-            flats.append(flat)
-        if cfg.hparam_dim > 0:
-            h = np.stack([it.hparams for it in items])
-            hp_norm = (h - model.hp_mean) / model.hp_std
-            hp_out = np.tanh(_rowwise_matmul(hp_norm, p["hproj.weight"]) + p["hproj.bias"])
-            embed = np.concatenate(flats + [hp_out], axis=1)
-        else:
-            hp_norm = hp_out = None
-            embed = np.concatenate(flats, axis=1) if len(flats) > 1 else flats[0]
-
-        head_pre, head_act, head_dropped, head_mask = {}, {}, {}, {}
+    order = np.lexsort(packed.nodes.T[::-1])
+    bounds = [0, *(np.flatnonzero(np.diff(packed.nodes[order], axis=0).any(axis=1)) + 1).tolist(), len(order)]
+    ctx = ForwardContext(tuple(heads), train_mode, len(packed), model.store.version, order, bounds)
+    chunks = [(0, len(order))] if train_mode else [
+        (a, min(a + EVAL_CHUNK, hi)) for lo, hi in zip(bounds, bounds[1:]) for a in range(lo, hi, EVAL_CHUNK)
+    ]
+    scores = {head: np.empty(len(packed)) for head in heads}
+    for lo, hi in chunks:
+        out = _dense_forward(model, packed.take(order[lo:hi]), heads, bounds, rng, ctx if train_mode else None)
         for head in heads:
-            pre = _rowwise_matmul(embed, p[f"head_{head}.w1"]) + p[f"head_{head}.b1"]
-            act = np.maximum(pre, 0.0)
-            if train_mode and cfg.dropout > 0.0:
-                mask = (rng.random(act.shape) >= cfg.dropout).astype(np.float64)
-                dropped = act * mask / (1.0 - cfg.dropout)
-            else:
-                mask = None
-                dropped = act
-            out = _rowwise_matmul(dropped, p[f"head_{head}.w2"]) + p[f"head_{head}.b2"]
-            scores[head][index] = out[:, 0]
-            head_pre[head] = pre
-            head_act[head] = act
-            head_dropped[head] = dropped
-            head_mask[head] = mask
-        traces.append(
-            _GroupTrace(
-                index=index,
-                cells=cell_traces,
-                hp_norm=hp_norm,
-                hp_out=hp_out,
-                embed=embed,
-                head_pre=head_pre,
-                head_act=head_act,
-                head_dropped=head_dropped,
-                head_mask=head_mask,
-            )
-        )
+            scores[head][order[lo:hi]] = out[head]
     for head, vals in scores.items():
         if not np.all(np.isfinite(vals)):
             raise FloatingPointError(f"non-finite scores from head {head!r}")
-    ctx = ForwardContext(
-        heads=tuple(heads),
-        train_mode=train_mode,
-        batch_size=len(batch),
-        store_version=model.store.version,
-        groups=traces,
-    )
     return scores, ctx
 
 
 def forward(
-    model: RankingModel,
-    batch: Sequence[EncodedArch],
-    head: str = "rank",
-    train_mode: bool = False,
-    dropout_seed: int | None = None,
+    model: RankingModel, batch: Packed | Sequence[EncodedArch], head: str = "rank",
+    train_mode: bool = False, dropout_seed: int | None = None,
 ) -> tuple[np.ndarray, ForwardContext]:
     """Single-head forward: one scalar per batch item plus saved activations."""
     scores, ctx = forward_heads(model, batch, (head,), train_mode, dropout_seed)
     return scores[head], ctx
 
 
-def _check_batch(model: RankingModel, batch: Sequence[EncodedArch]) -> None:
-    cfg = model.config
-    if not batch:
-        raise ValueError("empty batch")
-    for enc in batch:
-        if len(enc.cells) != cfg.n_cells:
-            raise ValueError(f"encoding has {len(enc.cells)} cells, model expects {cfg.n_cells}")
-        for cell in enc.cells:
-            if cell.onehot.shape[1] != cfg.vocab_size:
-                raise ValueError(
-                    f"encoding vocab size {cell.onehot.shape[1]} != model vocab {cfg.vocab_size}"
-                )
-        if enc.hparams.shape != (cfg.hparam_dim,):
-            raise ValueError(f"hparam shape {enc.hparams.shape} != ({cfg.hparam_dim},)")
+def _dense_forward(model, packed: Packed, heads, bounds, rng, ctx: ForwardContext | None) -> dict[str, np.ndarray]:
+    """Encoder and heads over one dense batch. With a context (train mode), dropout
+    is drawn per node-count group of `bounds`, then per head, and activations are saved."""
+    cfg, p = model.config, model.store.params
+    cells, flats = zip(*(_encode_cell(cfg, p, *x, ctx is not None) for x in zip(packed.ops, packed.prop, packed.nodes.T)))
+    hp_norm = hp_out = None
+    if cfg.hparam_dim > 0:
+        hp_norm = (packed.hparams - model.hp_mean) / model.hp_std
+        hp_out = np.tanh(_rowwise_matmul(hp_norm, p["hproj.weight"]) + p["hproj.bias"])
+        flats += (hp_out,)
+    embed = np.concatenate(flats, axis=1) if len(flats) > 1 else flats[0]
+
+    pre = {head: _rowwise_matmul(embed, p[f"head_{head}.w1"]) + p[f"head_{head}.b1"] for head in heads}
+    mask = dict.fromkeys(heads)
+    if ctx is not None and cfg.dropout > 0.0:
+        mask = {head: np.empty_like(pre[head]) for head in heads}
+        for lo, hi in zip(bounds, bounds[1:]):
+            for head in heads:
+                mask[head][lo:hi] = rng.random((hi - lo, cfg.head_hidden)) >= cfg.dropout
+    act = {head: np.maximum(pre[head], 0.0) for head in heads}
+    dropped = {h: act[h] if mask[h] is None else act[h] * mask[h] / (1.0 - cfg.dropout) for h in heads}
+    if ctx is not None:
+        ctx.saved = _Activations(list(cells), hp_norm, hp_out, embed, pre, mask, dropped)
+    return {head: (_rowwise_matmul(dropped[head], p[f"head_{head}.w2"]) + p[f"head_{head}.b2"])[:, 0] for head in heads}
 
 
-def _encode_cell(cfg, p, onehot, adj):
-    """Run the conv stack + sort-pool + node-wise conv for one stacked cell.
-
-    The propagation matrix sends features along edge direction: row v of
-    adj^T selects v's in-neighbors (plus v itself via the self-loop), and
-    dividing by the row sum makes each pre-activation a convex combination.
-    Per-node features for pooling are the concatenation of every conv
-    layer's output (the deep graph-conv readout); the sort key is the last
-    channel of the deepest layer.
-    """
-    incoming = np.transpose(adj, (0, 2, 1))
-    prop = incoming / incoming.sum(axis=2, keepdims=True)
-    layer_inputs, layer_outputs = [], []
-    h = onehot
+def _encode_cell(cfg, p, ops, prop, nodes, keep):
+    """Conv stack, sort-pool and node-wise conv for one cell of a dense batch
+    (padding rows propagate nothing, so their features stay zero). Pooling
+    reads every conv layer's output (the deep graph-conv readout), keyed on
+    the deepest layer's last channel. Eval (no `keep`) projects every row
+    before it gathers the selected ones, and saves nothing."""
+    outputs = []
+    h = p["conv0.weight"][ops]  # bitwise one-hot @ W
     for layer in range(len(cfg.conv_channels)):
-        layer_inputs.append(h)
-        h = np.tanh(prop @ (h @ p[f"conv{layer}.weight"]))
-        layer_outputs.append(h)
-    h = np.concatenate(layer_outputs, axis=2) if len(layer_outputs) > 1 else h
+        if layer:
+            h = h @ p[f"conv{layer}.weight"]
+        h = np.tanh(prop @ h)
+        outputs.append(h)
+    h = np.concatenate(outputs, axis=2) if len(outputs) > 1 else h
 
-    pooled, selected = _sort_pool(h, cfg.sortpool_nodes)
-    conv_pre = pooled @ p["nodeconv.weight"] + p["nodeconv.bias"]
+    k, weight, bias = cfg.sortpool_nodes, p["nodeconv.weight"], p["nodeconv.bias"]
+    if keep:
+        pooled, selected = _sort_pool(h, k, nodes)
+        conv_pre = pooled @ weight + bias
+    else:
+        selected = _sort_order(h, k, nodes)
+        conv_pre = np.tile(bias, (len(h), k, 1))  # what an empty slot's zero row projects to
+        conv_pre[:, : selected.shape[1]] = np.take_along_axis(h @ weight, selected[:, :, None], axis=1) + bias
     flat = np.maximum(conv_pre, 0.0).reshape(len(h), -1)
-    trace = _CellTrace(
-        prop=prop,
-        layer_inputs=layer_inputs,
-        layer_outputs=layer_outputs,
-        selected=selected,
-        pooled=pooled,
-        conv_pre=conv_pre,
-    )
-    return trace, flat
+    return (_CellTrace(ops, prop, nodes, outputs, selected, pooled, conv_pre) if keep else None), flat
 
 
 def backward(model: RankingModel, upstream, ctx: ForwardContext) -> None:
@@ -399,46 +419,47 @@ def backward(model: RankingModel, upstream, ctx: ForwardContext) -> None:
         raise ValueError("backward needs activations recorded in train mode")
     if ctx.store_version != model.store.version:
         raise ValueError("stale activations: parameters changed since forward")
-    if isinstance(upstream, dict):
-        ups = {h: np.asarray(upstream[h], dtype=np.float64) for h in ctx.heads}
-    else:
+    if not isinstance(upstream, dict):
         if len(ctx.heads) != 1:
             raise ValueError("array upstream is ambiguous for a multi-head context")
-        ups = {ctx.heads[0]: np.asarray(upstream, dtype=np.float64)}
+        upstream = {ctx.heads[0]: upstream}
+    ups = {h: np.asarray(upstream[h], dtype=np.float64) for h in ctx.heads}
     for h, u in ups.items():
         if u.shape != (ctx.batch_size,):
             raise ValueError(f"upstream for head {h!r} has shape {u.shape}, want ({ctx.batch_size},)")
 
-    cfg = model.config
-    p = model.store.params
-    g = model.store.grads
+    cfg, p, g, t = model.config, model.store.params, model.store.grads, ctx.saved
+    groups = [slice(lo, hi) for lo, hi in zip(ctx.bounds, ctx.bounds[1:])]
+
+    def reduce(name, *parts):  # group by group, ascending; in each, the parts (cells) in order
+        for s in groups:
+            for part in parts:
+                g[name] += part(s)
+
     per_cell = cfg.sortpool_nodes * cfg.conv1d_channels
-    keep = 1.0 - cfg.dropout
+    d_embed = np.zeros_like(t.embed)
+    for head in ctx.heads:
+        u = ups[head][ctx.order][:, None]
+        dropped, mask, w1 = t.head_dropped[head], t.head_mask[head], p[f"head_{head}.w1"]
+        reduce(f"head_{head}.w2", lambda s: dropped[s].T @ u[s])
+        reduce(f"head_{head}.b2", lambda s: u[s].sum(axis=0))
+        d_act = u @ p[f"head_{head}.w2"].T
+        if mask is not None:
+            d_act = d_act * mask / (1.0 - cfg.dropout)
+        d_pre = d_act * (t.head_pre[head] > 0.0)
+        reduce(f"head_{head}.w1", lambda s: t.embed[s].T @ d_pre[s])
+        reduce(f"head_{head}.b1", lambda s: d_pre[s].sum(axis=0))
+        d_embed += np.concatenate([d_pre[s] @ w1.T for s in groups])
 
-    for group in ctx.groups:
-        d_embed = np.zeros_like(group.embed)
-        for head in ctx.heads:
-            u = ups[head][group.index][:, None]
-            dropped = group.head_dropped[head]
-            g[f"head_{head}.w2"] += dropped.T @ u
-            g[f"head_{head}.b2"] += u.sum(axis=0)
-            d_dropped = u @ p[f"head_{head}.w2"].T
-            mask = group.head_mask[head]
-            d_act = d_dropped if mask is None else d_dropped * mask / keep
-            d_pre = d_act * (group.head_pre[head] > 0.0)
-            g[f"head_{head}.w1"] += group.embed.T @ d_pre
-            g[f"head_{head}.b1"] += d_pre.sum(axis=0)
-            d_embed += d_pre @ p[f"head_{head}.w1"].T
+    if cfg.hparam_dim > 0:
+        d_hp_pre = d_embed[:, cfg.n_cells * per_cell :] * (1.0 - t.hp_out**2)
+        reduce("hproj.weight", lambda s: t.hp_norm[s].T @ d_hp_pre[s])
+        reduce("hproj.bias", lambda s: d_hp_pre[s].sum(axis=0))
 
-        if cfg.hparam_dim > 0:
-            d_hp_out = d_embed[:, cfg.n_cells * per_cell :]
-            d_hp_pre = d_hp_out * (1.0 - group.hp_out**2)
-            g["hproj.weight"] += group.hp_norm.T @ d_hp_pre
-            g["hproj.bias"] += d_hp_pre.sum(axis=0)
-
-        for c, trace in enumerate(group.cells):
-            d_flat = d_embed[:, c * per_cell : (c + 1) * per_cell]
-            _backward_cell(cfg, p, g, trace, d_flat)
+    d_cells = np.split(d_embed[:, : cfg.n_cells * per_cell], cfg.n_cells, axis=1)
+    cells = [_backward_cell(cfg, p, cell, d_flat) for cell, d_flat in zip(t.cells, d_cells)]
+    for stage in zip(*cells):  # the cells' generators in lockstep, one weight at a time
+        reduce(stage[0][0], *(part for _, part in stage))
 
 
 def _flat_outer(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -446,36 +467,34 @@ def _flat_outer(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(-1, x.shape[-1]).T @ np.ascontiguousarray(d).reshape(-1, d.shape[-1])
 
 
-def _backward_cell(cfg, p, g, trace: _CellTrace, d_flat: np.ndarray) -> None:
-    batch_n = d_flat.shape[0]
-    k = cfg.sortpool_nodes
-    oc = cfg.conv1d_channels
-    d_conv = d_flat.reshape(batch_n, k, oc) * (trace.conv_pre > 0.0)
-    g["nodeconv.weight"] += _flat_outer(trace.pooled, d_conv)
-    g["nodeconv.bias"] += d_conv.sum(axis=(0, 1))
+def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
+    """Yield (weight name, per-group gradient sum) for one cell, top-down;
+    each sum must be taken before the next item is requested."""
+    batch_n = len(d_flat)
+    d_conv = d_flat.reshape(batch_n, cfg.sortpool_nodes, cfg.conv1d_channels) * (cell.conv_pre > 0.0)
+    yield "nodeconv.weight", lambda s: _flat_outer(cell.pooled[s], d_conv[s])
+    yield "nodeconv.bias", lambda s: d_conv[s].sum(axis=(0, 1))
     d_pooled = d_conv @ p["nodeconv.weight"].T
 
     # Scatter pooled gradients back onto the selected rows of the
     # concatenated per-layer features, then walk the conv stack top-down;
     # each layer's output receives gradient both from its readout segment
-    # and from the layer above.
-    k_eff = trace.selected.shape[1]
-    n = trace.layer_outputs[0].shape[1]
-    d_concat = np.zeros((batch_n, n, sum(cfg.conv_channels)))
-    rows = np.arange(batch_n)[:, None]
-    d_concat[rows, trace.selected] = d_pooled[:, :k_eff]
-
+    # and from the layer above. Weight gradients sum over real rows only.
+    d_concat = np.zeros((batch_n, cell.prop.shape[1], sum(cfg.conv_channels)))
+    d_concat[np.arange(batch_n)[:, None], cell.selected] = d_pooled[:, : cell.selected.shape[1]]
     bounds = np.cumsum([0, *cfg.conv_channels])
-    prop_t = np.transpose(trace.prop, (0, 2, 1))
+    prop_t = np.transpose(cell.prop, (0, 2, 1))
+    inputs = [np.eye(cfg.vocab_size)[cell.ops], *cell.outputs[:-1]]
+    def real(a, s):  # the rows of node-count group s that are not padding
+        return a[s, : cell.nodes[s.start]]
     d_chain = None
     for layer in range(len(cfg.conv_channels) - 1, -1, -1):
         d_nodes = d_concat[:, :, bounds[layer] : bounds[layer + 1]]
         if d_chain is not None:
             d_nodes = d_nodes + d_chain
-        out = trace.layer_outputs[layer]
-        d_mixed = d_nodes * (1.0 - out**2)
-        d_lin = prop_t @ d_mixed
-        g[f"conv{layer}.weight"] += _flat_outer(trace.layer_inputs[layer], d_lin)
+        d_lin = prop_t @ (d_nodes * (1.0 - cell.outputs[layer] ** 2))
+        x = inputs[layer]
+        yield f"conv{layer}.weight", lambda s: _flat_outer(real(x, s), real(d_lin, s))
         if layer > 0:
             d_chain = d_lin @ p[f"conv{layer}.weight"].T
 
@@ -573,17 +592,17 @@ def load_checkpoint(path: str | Path) -> RankingModel:
     raw["conv_channels"] = tuple(raw["conv_channels"])
     cfg = ModelConfig(**raw)
     params = {name: _decode_array(obj) for name, obj in doc["params"].items()}
-    expected = {name for name, _, _ in _param_specs(cfg)}
-    if set(params) != expected:
+    shapes = {name: shape for name, shape, _ in _param_specs(cfg)}
+    if set(params) != set(shapes):
         raise ValueError(f"{path}: parameter names do not match the config")
-    model = RankingModel(
-        config=cfg,
-        store=ParamStore(params),
-        hp_mean=_decode_array(doc["hp_mean"]),
-        hp_std=_decode_array(doc["hp_std"]),
-        hp_fitted=bool(doc["hp_fitted"]),
-    )
-    return model
+    stats = {"hp_mean": _decode_array(doc["hp_mean"]), "hp_std": _decode_array(doc["hp_std"])}
+    shapes.update(hp_mean=(cfg.hparam_dim,), hp_std=(cfg.hparam_dim,))
+    for name, value in {**params, **stats}.items():
+        if value.shape != shapes[name]:
+            raise ValueError(f"{path}: {name} has shape {value.shape}, the config needs {shapes[name]}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{path}: {name} has non-finite values")
+    return RankingModel(config=cfg, store=ParamStore(params), hp_fitted=bool(doc["hp_fitted"]), **stats)
 
 
 def clone_model(model: RankingModel) -> RankingModel:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ltr, metrics, nn
-from .space import Architecture, EncodedArch, SearchSpace, draw_ids, encode_architecture
+from .space import Architecture, EncodedArch, SearchSpace, SpaceValidationError, draw_ids, encode_architecture
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,11 @@ class SearchView:
         self._arch = {rid: rec.arch for rid, rec in space.records.items()}
         self._val = {rid: rec.val_acc for rid, rec in space.records.items()}
         self._encoded: dict[str, EncodedArch] = {}
+        self._packed: nn.Packed | None = None
+        self._position = {rid: i for i, rid in enumerate(self.ids)}
 
     def __len__(self):
         return len(self.ids)
-
-    def arch(self, arch_id: str) -> Architecture:
-        return self._arch[arch_id]
 
     def encoded(self, arch_id: str) -> EncodedArch:
         enc = self._encoded.get(arch_id)
@@ -101,18 +100,33 @@ class SearchView:
             self._encoded[arch_id] = enc
         return enc
 
+    def pool(self, ids: Sequence[str]) -> "Pool":
+        """The candidates `ids`, taken from the whole space packed on first use."""
+        if self._packed is None:
+            self._packed = nn.pack([self.encoded(rid) for rid in self.ids])
+        return Pool(tuple(ids), self._packed.take([self._position[rid] for rid in ids]))
+
     def reveal_val(self, arch_id: str) -> float:
         """The costly step: reveal one architecture's validation accuracy."""
         return self._val[arch_id]
 
 
 @dataclass(frozen=True)
-class EvalProbe:
+class Pool:
+    """Candidate ids and their packed encodings, position for position."""
+
+    ids: tuple[str, ...]
+    batch: nn.Packed
+
+    def __len__(self):
+        return len(self.ids)
+
+
+@dataclass(frozen=True)
+class EvalProbe(Pool):
     """Measurement-only sample for per-round metric snapshots. Never feeds
     back into sampling or training; holds validation accuracy only."""
 
-    ids: tuple[str, ...]
-    encoded: tuple[EncodedArch, ...]
     val_accs: np.ndarray
 
 
@@ -121,31 +135,18 @@ def make_probe(space: SearchSpace, size: int, seed: int) -> EvalProbe:
     picked = draw_ids(rng, space.ids, min(size, len(space)))
     return EvalProbe(
         ids=tuple(picked),
-        encoded=tuple(encode_architecture(space.records[r].arch, space.meta.vocab) for r in picked),
+        batch=nn.pack([encode_architecture(space.records[r].arch, space.meta.vocab) for r in picked]),
         val_accs=np.array([space.records[r].val_acc for r in picked]),
     )
 
 
-def _score_pool(model: nn.RankingModel, encs: Sequence[EncodedArch], chunk: int = 1024) -> np.ndarray:
-    scores = np.empty(len(encs))
-    for start in range(0, len(encs), chunk):
-        part = encs[start : start + chunk]
-        s, _ = nn.forward(model, part, "rank")
-        scores[start : start + len(part)] = s
-    return scores
-
-
-def select_top_k(
-    model: nn.RankingModel,
-    pool: Sequence[tuple[str, EncodedArch]],
-    k: int,
-) -> list[tuple[str, float]]:
+def select_top_k(model: nn.RankingModel, pool: Pool, k: int) -> list[tuple[str, float]]:
     """The k highest-scored candidates, in `metrics.rank_order`."""
     if k > len(pool):
         raise ValueError(f"top-k of {k} from a pool of {len(pool)}")
-    scores = _score_pool(model, [enc for _, enc in pool])
-    order = metrics.rank_order(scores, [rid for rid, _ in pool])
-    return [(pool[i][0], float(scores[i])) for i in order[:k]]
+    scores, _ = nn.forward(model, pool.batch, "rank")
+    order = metrics.rank_order(scores, pool.ids)
+    return [(pool.ids[i], float(scores[i])) for i in order[:k]]
 
 
 def _snapshot(
@@ -155,7 +156,7 @@ def _snapshot(
 ) -> tuple[float | None, float | None]:
     if probe is None or len(probe.ids) < 2:
         return None, None
-    scores = _score_pool(model, list(probe.encoded))
+    scores, _ = nn.forward(model, probe.batch, "rank")
     if rmap is not None:
         rels = metrics.map_relevance(rmap, probe.val_accs)
     else:
@@ -207,8 +208,7 @@ def iterative_search(
     for rnd in range(1, cfg.rounds + 1):
         picks: list[tuple[str, str]] = []
         if rnd > 1 and n_exploit:
-            pool = [(rid, view.encoded(rid)) for rid in unlabeled]
-            picks = [(rid, "model") for rid, _ in select_top_k(current, pool, n_exploit)]
+            picks = [(rid, "model") for rid, _ in select_top_k(current, view.pool(unlabeled), n_exploit)]
         taken = {rid for rid, _ in picks}
         remaining = [rid for rid in unlabeled if rid not in taken]
         n_random = cfg.per_round - len(picks)
@@ -237,8 +237,7 @@ def iterative_search(
     if model is None:
         top = draw_ids(rng, unlabeled, cfg.top_k)
     else:
-        pool = [(rid, view.encoded(rid)) for rid in unlabeled]
-        top = [rid for rid, _ in select_top_k(current, pool, cfg.top_k)]
+        top = [rid for rid, _ in select_top_k(current, view.pool(unlabeled), cfg.top_k)]
     trace.final_top_k = tuple(top)
     for rid in top:
         trace.entries.append(
@@ -269,7 +268,7 @@ def ws_greedy_baseline(space: SearchSpace, budget: int):
         raise ValueError(f"budget {budget} out of range for space of {len(space)}")
     missing = [rid for rid, rec in space.records.items() if rec.ws_acc is None]
     if missing:
-        raise ValueError(f"{len(missing)} records have no weak label (e.g. {missing[0]!r})")
+        raise SpaceValidationError(f"{len(missing)} records have no weak label (e.g. {missing[0]!r})")
     recs = list(space.records.values())
     order = metrics.rank_order([r.ws_acc for r in recs], [r.arch.id for r in recs])
     return [recs[i] for i in order[:budget]]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ltrnas import cli, space
-from ltrnas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from ltrnas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 SMALL_MODEL = [
     "--hidden", "16", "--layers", "2", "--sortpool", "8",
@@ -86,6 +86,18 @@ class TestSynth:
     def test_degenerate_config(self, tmp_path):
         assert run("synth", "--out", tmp_path, "--seed", "1", "--size", "1") == EXIT_CONFIG
 
+    def test_tau_out_of_range_is_config_error(self, tmp_path):
+        assert run("synth", "--out", tmp_path, "--seed", "1", "--size", "10", "--tau", "1.5") == EXIT_CONFIG
+
+    def test_internal_value_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # a ValueError raised inside the pipeline is a bug, not a user's configuration error
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli.space_mod, "calibrate_weak_labels", broken)
+        assert run("synth", "--out", tmp_path, "--seed", "1", "--size", "10") == EXIT_RUNTIME
+        assert "runtime error: ValueError" in capsys.readouterr().err
+
 
 class TestPretrain:
     def test_artifacts(self, pretrain_dir):
@@ -102,6 +114,10 @@ class TestPretrain:
                        "--sample", "40", "--epochs", "2", *SMALL_MODEL)
             assert code == EXIT_OK
         assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+
+    def test_too_small_sample_is_config_error(self, tmp_path, space_dir):
+        argv = ["pretrain", "--out", tmp_path, "--seed", "1", "--space", space_dir / "space.jsonl", "--sample", "1"]
+        assert run(*argv, *SMALL_MODEL) == EXIT_CONFIG
 
     def test_space_without_weak_labels_fails(self, tmp_path):
         plain = tmp_path / "plain"
@@ -207,6 +223,20 @@ class TestSearch:
         argv[argv.index("--budget") + 1] = "200"
         assert run(*argv) == EXIT_CONFIG
 
+    def test_corrupt_checkpoint_is_config_error(self, tmp_path, space_dir, pretrain_dir):
+        doc = json.loads((pretrain_dir / "checkpoint.json").read_text())
+        doc["params"]["conv0.weight"]["shape"] = doc["params"]["conv0.weight"]["shape"][::-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "bad-ckpt")
+        argv[argv.index("--checkpoint") + 1] = bad
+        assert run(*argv) == EXIT_CONFIG
+
+    def test_zero_rounds_is_config_error(self, tmp_path, space_dir, pretrain_dir):
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "zero")
+        argv[argv.index("--rounds") + 1] = "0"
+        assert run(*argv) == EXIT_CONFIG
+
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "odd"
         argv = search_args(space_dir, pretrain_dir, out)
@@ -270,6 +300,12 @@ class TestReport:
         bogus.mkdir()
         out = tmp_path / "rep4"
         assert run("report", bogus, "--out", out) == EXIT_IO
+
+    def test_summary_without_config_hash(self, tmp_path):
+        bogus = tmp_path / "partial"
+        bogus.mkdir()
+        (bogus / "summary.json").write_text(json.dumps({"baseline": "full"}))
+        assert run("report", bogus, "--out", tmp_path / "rep5") == EXIT_IO
 
     def test_correlation_block_at_ten_runs(self, tmp_path):
         # the block appears only once ten runs with metrics are pooled

@@ -1,6 +1,8 @@
 """Model tests: exact gradients against finite differences, determinism,
 batch independence, sort-pooling, optimizer and checkpoint behavior."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,19 @@ def two_cell_encs():
     cfg = space.SynthConfig(size=24, node_range=(3, 5), vocab_size=4, hparam_dim=2, n_cells=2, seed=7)
     sp = space.generate_synthetic_space(cfg)
     return [space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()]
+
+
+@pytest.fixture(scope="module")
+def mixed_encs():
+    """Per cell count: a model config and encodings with 3 to 7 nodes per
+    cell; sort-pooling keeps 5 rows, so some cells leave pooled slots empty."""
+    out = {}
+    for n_cells, cfg in ((1, TINY), (2, TINY_TWO_CELLS)):
+        cfg = ModelConfig(**{**cfg.__dict__, "sortpool_nodes": 5})
+        synth = space.SynthConfig(size=30, node_range=(3, 7), vocab_size=4, hparam_dim=2, n_cells=n_cells, seed=8)
+        sp = space.generate_synthetic_space(synth)
+        out[n_cells] = cfg, [space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +181,91 @@ class TestForward:
         m = build_model(TINY)
         with pytest.raises(ValueError, match="seed"):
             forward(m, tiny_encs[:2], "rank", train_mode=True)
+
+
+class TestPacked:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(0, 29), min_size=1, max_size=12))
+    def test_packed_sequence_and_single_items_bitwise(self, mixed_encs, n_cells, picks):
+        # eval scores per node-count chunk, train one padded dense batch (the
+        # same numbers without dropout): all must agree with items scored alone
+        cfg, encs = mixed_encs[n_cells]
+        model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
+        model.store.params["nodeconv.bias"][0] = 0.3  # empty pooled slots pass the ReLU
+        batch = [encs[i] for i in picks]
+        packed = nn.pack(encs).take(picks)
+        runs = [forward_heads(model, batch, HEADS)[0], forward_heads(model, packed, HEADS)[0],
+                forward_heads(model, packed, HEADS, train_mode=True)[0]]
+        for head in HEADS:
+            alone = np.array([forward(model, [enc], head)[0][0] for enc in batch])
+            for scores in runs:
+                np.testing.assert_array_equal(scores[head].view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("n_cells", [1, 2])
+    def test_backward_equals_node_count_groups_in_order(self, mixed_encs, n_cells):
+        # without dropout, one dense batch accumulates exactly the gradients of
+        # its node-count sub-batches run one after another, ascending
+        cfg, encs = mixed_encs[n_cells]
+        model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
+        batch = encs[:20]
+        rng = np.random.default_rng(3)
+        ups = {head: rng.standard_normal(len(batch)) for head in HEADS}
+        _, ctx = forward_heads(model, batch, HEADS, train_mode=True)
+        backward(model, ups, ctx)
+        dense = {k: v.copy() for k, v in model.store.grads.items()}
+        model.store.zero_grads()
+        keys = [tuple(len(cell.onehot) for cell in enc.cells) for enc in batch]
+        assert len(set(keys)) > 2
+        for key in sorted(set(keys)):
+            idx = [i for i, k in enumerate(keys) if k == key]
+            _, ctx = forward_heads(model, [batch[i] for i in idx], HEADS, train_mode=True)
+            backward(model, {head: u[idx] for head, u in ups.items()}, ctx)
+        for name, grad in dense.items():
+            np.testing.assert_array_equal(grad.view(np.int64), model.store.grads[name].view(np.int64), err_msg=name)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.tuples(st.integers(2, 5), st.integers(3, 6), st.integers(1, 3)).flatmap(
+            lambda shape: st.tuples(
+                arrays(np.float64, shape, elements=st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5])),
+                arrays(np.intp, shape[0], elements=st.integers(1, shape[1])),
+            )
+        )
+    )
+    def test_padding_sorts_after_every_real_row(self, case):
+        # the encoder's padding rows are +-0.0, which would sort ahead of a
+        # real row whose last channel is negative if padding were not keyed last
+        z, nodes = case
+        z[1, : nodes[1], -1] = -1.0
+        z[np.arange(z.shape[1]) >= nodes[:, None]] = -0.0
+        for k in (z.shape[1] - 1, z.shape[1] + 1):
+            pooled, selected = nn._sort_pool(z, k, nodes)
+            for b, n in enumerate(nodes):
+                alone, alone_selected = nn._sort_pool(z[b : b + 1, :n], k)
+                np.testing.assert_array_equal(selected[b, : min(n, k)], alone_selected[0])
+                np.testing.assert_array_equal(pooled[b].view(np.int64), alone[0].view(np.int64))
+
+    def test_take_trims_padding(self, mixed_encs):
+        _, encs = mixed_encs[1]
+        packed = nn.pack(encs)
+        small = [i for i, enc in enumerate(encs) if len(enc.cells[0].onehot) <= 4]
+        part = packed.take(small)
+        assert len(part) == len(small)
+        assert part.prop[0].shape[1:] == (4, 4)
+
+    def test_rejects_mixed_encodings(self, tiny_encs, wide_encs, two_cell_encs):
+        with pytest.raises(ValueError, match="vocab"):
+            nn.pack([tiny_encs[0], wide_encs[0]])
+        with pytest.raises(ValueError, match="cell count"):
+            nn.pack([tiny_encs[0], two_cell_encs[0]])
+        with pytest.raises(ValueError, match="empty"):
+            nn.pack([])
+
+    def test_rejects_non_one_hot_rows(self, tiny_encs):
+        cell = tiny_encs[0].cells[0]
+        blurred = space.EncodedCell(onehot=cell.onehot * 0.5, adjacency=cell.adjacency)
+        with pytest.raises(ValueError, match="one-hot"):
+            nn.pack([space.EncodedArch(cells=(blurred,), hparams=tiny_encs[0].hparams)])
 
 
 class TestDropout:
@@ -420,6 +520,32 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _corrupt(tmp_path, name, change):
+        """Path of a TINY checkpoint whose array `name` went through `change`."""
+        doc = json.loads(checkpoint_bytes(build_model(TINY)))
+        holder = doc["params"] if name in doc["params"] else doc
+        holder[name] = nn._encode_array(change(nn._decode_array(holder[name])))
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("name", ["conv0.weight", "hp_mean"])
+    def test_rejects_misshaped_array(self, tmp_path, name):
+        # an extra vocabulary row would let the layer-0 row gather score silently
+        path = self._corrupt(tmp_path, name, lambda a: np.concatenate([a, a[:1]]))
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["head_rank.w1", "hp_std"])
+    def test_rejects_non_finite_values(self, tmp_path, name):
+        def poison(a):
+            a.flat[0] = np.nan
+            return a
+
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            load_checkpoint(self._corrupt(tmp_path, name, poison))
 
     def test_clone_is_independent(self, tiny_encs):
         m = build_model(TINY)

@@ -152,24 +152,24 @@ class TestIterativeSearch:
 class TestSelectTopK:
     def test_whole_pool_score_ordered(self, bench, model):
         view = SearchView(bench)
-        pool = [(rid, view.encoded(rid)) for rid in view.ids[:12]]
+        pool = view.pool(view.ids[:12])
         top = select_top_k(model, pool, 12)
         scores = [s for _, s in top]
         assert scores == sorted(scores, reverse=True)
-        assert {rid for rid, _ in top} == {rid for rid, _ in pool}
+        assert {rid for rid, _ in top} == set(pool.ids)
 
     def test_zero_model_ties_break_by_id(self, bench):
         zero = nn.build_model(MODEL_CFG)
         for name in zero.store.names():
             zero.store.params[name][...] = 0.0
         view = SearchView(bench)
-        pool = [(rid, view.encoded(rid)) for rid in view.ids[:20]]
+        pool = view.pool(view.ids[:20])
         top = select_top_k(zero, pool, 5)
-        assert [rid for rid, _ in top] == sorted(rid for rid, _ in pool)[:5]
+        assert [rid for rid, _ in top] == sorted(pool.ids)[:5]
 
     def test_pool_too_small(self, bench, model):
         view = SearchView(bench)
-        pool = [(rid, view.encoded(rid)) for rid in view.ids[:3]]
+        pool = view.pool(view.ids[:3])
         with pytest.raises(ValueError):
             select_top_k(model, pool, 4)
 
@@ -186,8 +186,7 @@ class TestSelectTopK:
         ]
         result = ltr.finetune(nn.build_model(MODEL_CFG), examples, ltr.TrainConfig(epochs=30, early_stop_patience=10, seed=1))
         view = SearchView(bench)
-        pool = [(rid, view.encoded(rid)) for rid in view.ids]
-        top = select_top_k(result.model, pool, 10)
+        top = select_top_k(result.model, view.pool(view.ids), 10)
         top_mean = np.mean([bench.records[rid].val_acc for rid, _ in top])
         pool_mean = np.mean([r.val_acc for r in bench.records.values()])
         assert top_mean > pool_mean

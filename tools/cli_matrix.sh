@@ -9,14 +9,17 @@
 #
 # The matrix, at the flags of bench/run.py and with fixed seeds:
 #   synth     5000 records, nodes 5-11, vocabulary 9, tau 0.6
-#   pretrain  1000 weak labels, 1 epoch, the 4x64 model with sort-pool 12
+#   pretrain  1000 weak labels, 1 epoch, the 4x64 model with sort-pool 12;
+#             and the bench's pretrain: 4000 weak labels, 2 epochs
 #   search    full, ranknet, vanilla-mse, random, ws-greedy and full with
 #             --no-pretrain: budget 100 in 5 rounds, top-10, 60 epochs,
 #             patience 15, probe 512
 #   report    over the six search runs
+#   two cells synth --cells 2 with 800 records, a 1-epoch pretrain on all of
+#             them and a full search, so the multi-cell encoder is covered
 # Commands run inside OUT_DIR with relative paths, so the paths recorded in
 # run_config.json match between runs. Each command's standard output is
-# appended to OUT_DIR/stdout.txt. About 40 s on a 2-vCPU VM.
+# appended to OUT_DIR/stdout.txt. About 70 s on a 2-vCPU VM.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -36,20 +39,28 @@ if [ -n "$(ls -A "$out")" ]; then
 fi
 
 model=(--hidden 64 --layers 4 --sortpool 12 --conv1d 16 --hparam-proj 8 --head-hidden 64)
-search=(--seed 3 --space space/space.jsonl --budget 100 --rounds 5 --topk 10 --epochs 60
-        --patience 15 --probe-size 512 "${model[@]}")
+search=(--seed 3 --budget 100 --rounds 5 --topk 10 --epochs 60 --patience 15 --probe-size 512 "${model[@]}")
 
 ltrnas() {
     PYTHONPATH="$src" python3 -m ltrnas.cli "$@" >> stdout.txt
 }
 
 cd "$out"
-ltrnas synth --out space --seed 1 --size 5000 --nodes-min 5 --nodes-max 11 --vocab-size 9 --tau 0.6
+space=(--nodes-min 5 --nodes-max 11 --vocab-size 9 --tau 0.6)
+ltrnas synth --out space --seed 1 --size 5000 "${space[@]}"
 ltrnas pretrain --out pre --seed 2 --space space/space.jsonl --sample 1000 --lr 0.005 --epochs 1 "${model[@]}"
-ltrnas search --out search-full --checkpoint pre/checkpoint.json "${search[@]}"
+ltrnas pretrain --out pre-bench --seed 2 --space space/space.jsonl --sample 4000 --lr 0.005 --epochs 2 "${model[@]}"
+ltrnas search --out search-full --space space/space.jsonl --checkpoint pre/checkpoint.json "${search[@]}"
 for baseline in ranknet vanilla-mse random ws-greedy; do
-    ltrnas search --out "search-$baseline" --baseline "$baseline" --checkpoint pre/checkpoint.json "${search[@]}"
+    ltrnas search --out "search-$baseline" --baseline "$baseline" --space space/space.jsonl \
+        --checkpoint pre/checkpoint.json "${search[@]}"
 done
-ltrnas search --out search-no-pretrain --no-pretrain "${search[@]}"
+ltrnas search --out search-no-pretrain --no-pretrain --space space/space.jsonl "${search[@]}"
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
     search-no-pretrain --out report
+
+ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
+ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
+    --epochs 1 "${model[@]}"
+ltrnas search --out search-two-cells --space space-two-cells/space.jsonl \
+    --checkpoint pre-two-cells/checkpoint.json "${search[@]}"
