@@ -3,7 +3,10 @@
 Every command persists its fully resolved configuration (run_config.json)
 into its output directory, so a run is reproducible from its artifacts
 alone. Outputs contain no timestamps: identical invocations produce
-byte-identical files.
+byte-identical files. Each file is written next to its final name and
+renamed into place, and the command's report (summary.json,
+pretrain_report.json, synth_report.json) is written last, so a run that
+dies halfway leaves no report for `report` to aggregate.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 runtime failure (any other error, internal bugs included).
@@ -15,8 +18,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -91,12 +96,26 @@ def _config_hash(cfg: dict) -> str:
     return digest[:12]
 
 
+@contextmanager
+def _output(path: Path):
+    """Yield a temporary path next to `path` for the block to write; then
+    rename it onto `path`, so `path` is either absent, the old file or the
+    whole new one. On failure the temporary file is removed."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _output(path) as tmp:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _output(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -155,7 +174,8 @@ def cmd_synth(args) -> int:
 
     generated = space_mod.generate_synthetic_space(cfg)
     calibrated = space_mod.calibrate_weak_labels(generated, target_tau=args.tau, seed=args.seed)
-    space_mod.save_space(calibrated, out / "space.jsonl")
+    with _output(out / "space.jsonl") as tmp:
+        space_mod.save_space(calibrated, tmp)
 
     vals = np.array([r.val_acc for r in calibrated.records.values()])
     ws = np.array([r.ws_acc for r in calibrated.records.values()])
@@ -204,7 +224,8 @@ def cmd_pretrain(args) -> int:
                     lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
     result = ltr.pretrain(model, records, tcfg)
 
-    nn.save_checkpoint(result.model, out / "checkpoint.json")
+    with _output(out / "checkpoint.json") as tmp:
+        nn.save_checkpoint(result.model, tmp)
     _write_csv(out / "curves.csv", CURVE_HEADER, _curve_rows(result.curve))
     _write_json(out / "run_config.json", run_cfg)
     report = {
@@ -290,8 +311,7 @@ def cmd_search(args) -> int:
     arch, test_acc = search.finalize(trace, bench)
     summary = _summarize(trace, bench, run_cfg, baseline)
     _write_json(out / "run_config.json", run_cfg)
-    _write_json(out / "summary.json", summary)
-    with (out / "trace.jsonl").open("w", encoding="utf-8") as fh:
+    with _output(out / "trace.jsonl") as tmp, tmp.open("w", encoding="utf-8") as fh:
         for e in trace.entries:
             fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
     _write_csv(
@@ -305,7 +325,9 @@ def cmd_search(args) -> int:
         _best_so_far_curve(trace, bench),
     )
     if final_model is not None:
-        nn.save_checkpoint(final_model, out / "final_model.json")
+        with _output(out / "final_model.json") as tmp:
+            nn.save_checkpoint(final_model, tmp)
+    _write_json(out / "summary.json", summary)
     print(f"search[{baseline}]: chose {arch.id} with test accuracy {test_acc:.3f}")
     return EXIT_OK
 

@@ -15,11 +15,11 @@ validation or test accuracy, finetuning examples carry no test accuracy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import metrics, nn
 from .space import EncodedArch, SearchSpace, SpaceValidationError, encode_architecture
@@ -165,6 +165,36 @@ def multitask_mse(
     return loss, grads
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(t: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-t)) of a 1-D array through libm's exp:
+    bit for bit `scipy.special.expit`, 0.0 where exp(-t) overflows. numpy's
+    SIMD exp is not libm's and differs in the last bit for some inputs."""
+    neg = (-t).tolist()
+    try:
+        exp_neg = np.fromiter(map(math.exp, neg), np.float64, len(neg))
+    except OverflowError:
+        exp_neg = np.fromiter(map(_exp_or_inf, neg), np.float64, len(neg))
+    return 1.0 / (1.0 + exp_neg)
+
+
+def _pair_coefficients(s: np.ndarray, r: np.ndarray, sigma: float, delta: np.ndarray | None = None) -> np.ndarray:
+    """Row sums minus column sums of the pair matrix whose [i, j] entry is
+    -sigma*expit(-sigma*(s_i - s_j)) (times delta[i, j]) for rel_i > rel_j
+    and 0.0 otherwise. expit runs only on those pairs."""
+    above = r[:, None] > r[None, :]
+    value = -sigma * _expit(-sigma * (s[:, None] - s[None, :])[above])
+    pair = np.zeros(above.shape)
+    pair[above] = value if delta is None else value * delta[above]
+    return pair.sum(axis=1) - pair.sum(axis=0)
+
+
 def ranknet_lambdas(scores, rels, sigma: float = 1.0) -> np.ndarray:
     """Per-item gradient coefficients treating every misordered-relevance pair
     equally: for rel_i > rel_j the pair contributes -sigma*expit(-sigma*(s_i - s_j))
@@ -173,12 +203,7 @@ def ranknet_lambdas(scores, rels, sigma: float = 1.0) -> np.ndarray:
     r = np.asarray(rels, dtype=np.float64)
     if s.shape != r.shape or s.size < 2:
         raise ValueError("scores and relevances must be equal-length lists of >= 2 items")
-    pair = np.where(
-        r[:, None] > r[None, :],
-        -sigma * expit(-sigma * (s[:, None] - s[None, :])),
-        0.0,
-    )
-    return pair.sum(axis=1) - pair.sum(axis=0)
+    return _pair_coefficients(s, r, sigma)
 
 
 def lambdarank_lambdas(scores, rels, sigma: float = 1.0, *, ids: Sequence[str]) -> np.ndarray:
@@ -192,13 +217,7 @@ def lambdarank_lambdas(scores, rels, sigma: float = 1.0, *, ids: Sequence[str]) 
     position = np.empty(s.size, dtype=np.intp)
     position[order] = np.arange(s.size)
     delta_by_pos = metrics.pairwise_delta_ndcg(r[order])
-    delta = delta_by_pos[position[:, None], position[None, :]]
-    pair = np.where(
-        r[:, None] > r[None, :],
-        -sigma * expit(-sigma * (s[:, None] - s[None, :])) * delta,
-        0.0,
-    )
-    return pair.sum(axis=1) - pair.sum(axis=0)
+    return _pair_coefficients(s, r, sigma, delta_by_pos[position[:, None], position[None, :]])
 
 
 def _pairwise_logistic_loss(scores, rels, sigma: float) -> float:

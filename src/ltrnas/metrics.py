@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 class DegenerateRelevanceWarning(UserWarning):
@@ -180,18 +179,68 @@ def pairwise_delta_ndcg(rels_in_rank_order: np.ndarray) -> np.ndarray:
     return np.abs((gains[:, None] - gains[None, :]) * (discounts[:, None] - discounts[None, :])) / idcg
 
 
+def _dense_ranks(sorted_values: np.ndarray) -> np.ndarray:
+    """1-based ranks of already sorted values, equal values sharing one rank."""
+    return np.cumsum(np.r_[True, sorted_values[1:] != sorted_values[:-1]], dtype=np.intp)
+
+
+def _pairs_within(group_sizes: np.ndarray) -> int:
+    return int((group_sizes * (group_sizes - 1) // 2).sum())
+
+
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], for nonnegative integer y, in O(n log n).
+
+    Such a pair first differs at some bit b, where y[i] has a 1 and y[j] a 0,
+    with equal bits above b. Bits are taken from the most significant down:
+    while the array is stably sorted on the bits above b, each 0 at bit b
+    counts the 1s before it among its equal-prefix run; a stable sort on the
+    bits down to b then readies the next bit. The sort key is cast to the
+    smallest unsigned type, so up to 65535 ranks numpy's stable sort is a
+    radix sort.
+    """
+    top = int(y.max())
+    key_dtype = np.min_scalar_type(top)
+    discordant = 0
+    for b in reversed(range(top.bit_length())):
+        key = y >> b
+        bit = key & 1
+        ones_before = np.cumsum(bit) - bit
+        run_start = np.r_[True, (key[1:] >> 1) != (key[:-1] >> 1)]
+        ones_before -= np.maximum.accumulate(np.where(run_start, ones_before, 0))
+        discordant += int(ones_before[bit == 0].sum())
+        y = y[np.argsort(key.astype(key_dtype), kind="stable")]
+    return discordant
+
+
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
-    """Tie-corrected (tau-b) rank correlation over all pairs."""
+    """Tie-corrected (tau-b) rank correlation over all pairs (Kendall 1945).
+
+    Every pair count is an exact integer, and the final float formula
+    ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
+    [-1, 1], is scipy's, so the value is bit for bit `scipy.stats.kendalltau`'s.
+    """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 observations")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("tau undefined for non-finite values")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("tau undefined when one list is all ties")
-    tau = stats.kendalltau(x, y, variant="b").statistic
-    return float(tau)
+    # dense ranks, ordered on x and then on y, so pairs tied in x are never discordant
+    perm = np.argsort(y, kind="stable")
+    x, y = x[perm], _dense_ranks(y[perm])
+    perm = np.argsort(x, kind="stable")
+    x, y = _dense_ranks(x[perm]), y[perm]
+    joint_ties = _pairs_within(np.diff(np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True])))
+    x_ties, y_ties = _pairs_within(np.bincount(x)), _pairs_within(np.bincount(y))
+    total = x.size * (x.size - 1) // 2
+    con_minus_dis = total - x_ties - y_ties + joint_ties - 2 * _discordant_pairs(y)
+    tau = con_minus_dis / math.sqrt(total - x_ties) / math.sqrt(total - y_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:

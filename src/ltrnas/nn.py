@@ -258,7 +258,7 @@ def _sort_pool(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> tuple[
     selection, or taken from padding, are +0.0."""
     selected = _sort_order(h, k, nodes)
     pooled = np.zeros((len(h), k, h.shape[2]))
-    pooled[:, : selected.shape[1]] = np.take_along_axis(h, selected[:, :, None], axis=1)
+    pooled[:, : selected.shape[1]] = h[np.arange(len(h))[:, None], selected]
     if nodes is not None:
         pooled[:, : selected.shape[1]][selected >= nodes[:, None]] = 0.0
     return pooled, selected
@@ -404,7 +404,7 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
     else:
         selected = _sort_order(h, k, nodes)
         conv_pre = np.tile(bias, (len(h), k, 1))  # what an empty slot's zero row projects to
-        conv_pre[:, : selected.shape[1]] = np.take_along_axis(h @ weight, selected[:, :, None], axis=1) + bias
+        conv_pre[:, : selected.shape[1]] = (h @ weight)[np.arange(len(h))[:, None], selected] + bias
     flat = np.maximum(conv_pre, 0.0).reshape(len(h), -1)
     return (_CellTrace(ops, prop, nodes, outputs, selected, pooled, conv_pre) if keep else None), flat
 

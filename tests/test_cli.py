@@ -237,6 +237,22 @@ class TestSearch:
         argv[argv.index("--rounds") + 1] = "0"
         assert run(*argv) == EXIT_CONFIG
 
+    def test_failed_write_leaves_no_summary(self, tmp_path, space_dir, pretrain_dir, monkeypatch, capsys):
+        # summary.json is written last, so `report` never reads a run that died halfway
+        def broken(model, path):
+            Path(path).write_text("partial")
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli.nn, "save_checkpoint", broken)
+        out = tmp_path / "run"
+        assert run(*search_args(space_dir, pretrain_dir, out)) == EXIT_RUNTIME
+        assert "runtime error: RuntimeError" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "final_model.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "budget_curve.csv", "round_metrics.csv", "run_config.json", "trace.jsonl",
+        ]
+
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "odd"
         argv = search_args(space_dir, pretrain_dir, out)
@@ -369,3 +385,15 @@ class TestModuleEntry:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_imports_no_scipy(self):
+        # scipy was a dependency for two functions; keep it from creeping back
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys, ltrnas.cli; "
+            "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

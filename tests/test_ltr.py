@@ -1,6 +1,7 @@
 """Training-procedure tests: losses, lambda coefficients, both trainers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,68 @@ class TestMultitaskMse:
         labels = {"ws": np.zeros(3), "flops": np.zeros(2), "params": np.zeros(2)}
         with pytest.raises(ValueError):
             multitask_mse(preds, labels)
+
+
+def loop_pair_sums(s, r, sigma, delta=None):
+    """Reference coefficients: the pair matrix filled one entry at a time in
+    Python floats with libm's exp (0.0 where it overflows), then the row sums
+    minus the column sums."""
+    n = len(s)
+    pair = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if r[i] > r[j]:
+                t = -sigma * (float(s[i]) - float(s[j]))
+                try:
+                    value = -sigma * (1.0 / (1.0 + math.exp(-t)))
+                except OverflowError:
+                    value = -sigma * 0.0
+                pair[i, j] = value if delta is None else value * delta[i, j]
+    return pair.sum(axis=1) - pair.sum(axis=0)
+
+
+def random_batches(seed, count=150):
+    """Score lists wide enough that some exp(-t) overflow, with ±0.0 scores
+    and tied relevances."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 41))
+        s = rng.standard_normal(n) * (1.0, 30.0, 600.0)[trial % 3]
+        s[rng.random(n) < 0.1] = (0.0, -0.0)[trial % 2]
+        r = rng.integers(0, 6, size=n) * 1.5
+        ids = [f"x{k:02d}" for k in rng.permutation(n)]
+        yield s, r, ids, (0.5, 1.0, 2.0)[trial % 3]
+
+
+class TestExpit:
+    # scipy.special.expit 1.17.1 at the same points, which this function replaced
+    @pytest.mark.parametrize("t, want", [
+        (-709.5, 7.38014831401258e-309),  # subnormal: exp(709.5) is just below overflow
+        (-710.0, 0.0),  # exp(710) overflows
+        (-745.0, 0.0),
+        (math.inf, 1.0),
+        (-math.inf, 0.0),
+        (0.0, 0.5),
+        (-0.0, 0.5),
+    ])
+    def test_pinned_scipy_values(self, t, want):
+        got = ltr._expit(np.array([t, t]))
+        assert got.tobytes() == np.array([want, want]).tobytes()
+
+
+class TestLambdasBitwise:
+    def test_ranknet_matches_loop(self):
+        for s, r, _, sigma in random_batches(21):
+            assert ranknet_lambdas(s, r, sigma).tobytes() == loop_pair_sums(s, r, sigma).tobytes()
+
+    def test_lambdarank_matches_loop(self):
+        for s, r, ids, sigma in random_batches(22):
+            order = sorted(range(len(s)), key=lambda i: (-s[i], ids[i]))
+            pos = np.empty(len(s), dtype=int)
+            pos[order] = np.arange(len(s))
+            delta = metrics.pairwise_delta_ndcg(r[order])[pos[:, None], pos[None, :]]
+            got = lambdarank_lambdas(s, r, sigma, ids=ids)
+            assert got.tobytes() == loop_pair_sums(s, r, sigma, delta).tobytes()
 
 
 class TestRanknetLambdas:

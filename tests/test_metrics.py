@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ltrnas import metrics
@@ -42,7 +42,9 @@ def brute_force_ndcg(rels, k=None):
 
 
 def brute_force_tau(a, b):
-    """Oracle: tau-b by explicit pair counting."""
+    """Oracle: tau-b from integer counts over every pair, then the one float
+    formula (con - dis) / sqrt(n0 - ties_a) / sqrt(n0 - ties_b), clipped to
+    [-1, 1]. Equal values (-0.0 == 0.0 included) tie."""
     n = len(a)
     concordant = discordant = ties_a = ties_b = 0
     for i in range(n):
@@ -59,8 +61,9 @@ def brute_force_tau(a, b):
                 concordant += 1
             else:
                 discordant += 1
-    n0 = n * (n - 1) / 2
-    return (concordant - discordant) / math.sqrt((n0 - ties_a) * (n0 - ties_b))
+    n0 = n * (n - 1) // 2
+    tau = (concordant - discordant) / math.sqrt(n0 - ties_a) / math.sqrt(n0 - ties_b)
+    return min(1.0, max(-1.0, tau))
 
 
 class TestRelevanceMap:
@@ -217,6 +220,9 @@ class TestDeltaNdcg:
             delta_ndcg(lst, 1, 1)
 
 
+_TIED_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
 class TestKendallTau:
     def test_identity(self):
         assert kendall_tau([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
@@ -237,6 +243,38 @@ class TestKendallTau:
                 continue
             assert kendall_tau(a, b) == pytest.approx(brute_force_tau(a, b), abs=1e-12)
 
+    # heavy ties from few distinct values (-0.0 and 0.0 among them), lists
+    # past the length where numpy's sorts stop being insertion sorts
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(_TIED_VALUES, _TIED_VALUES), min_size=2, max_size=300))
+    @example([(0.0, 1.0), (-0.0, 2.0), (1.0, 1.0)])
+    @example([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])  # (con - dis) / sqrt(3) / sqrt(3) rounds above 1
+    def test_equals_brute_force_exactly(self, pairs):
+        a = [x for x, _ in pairs]
+        b = [y for _, y in pairs]
+        assume(len(set(a)) > 1 and len(set(b)) > 1)
+        assert kendall_tau(a, b) == brute_force_tau(a, b)
+
+    def test_pinned_scipy_values(self):
+        # computed with scipy.stats.kendalltau(variant="b") 1.17.1, which this function replaced
+        assert kendall_tau([12, 2, 1, 12, 2], [1, 4, 7, 1, 0]) == -0.4714045207910316
+        assert kendall_tau([1, 1, 2, 2, 3], [1, 2, 1, 2, 3]) == 0.49999999999999994
+        assert kendall_tau([0.0, -0.0, 1.0, 1.0, -1.0, 0.5], [3, 2, 2, 1, 0, 3]) == 0.07692307692307693
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 5, 300).astype(float)
+        assert kendall_tau(a, a + rng.integers(0, 4, 300)) == 0.6893141659368667
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(5000)
+        assert kendall_tau(x, x + rng.standard_normal(5000)) == 0.504731026205241
+
+    def test_more_ranks_than_a_16_bit_sort_key(self):
+        # no ties, and the two halves swapped: exactly h * (n - h) discordant pairs
+        n, h = 70_000, 30_000
+        total = n * (n - 1) // 2
+        y = np.r_[np.arange(h, n), np.arange(h)]
+        expected = (total - 2 * h * (n - h)) / math.sqrt(total) / math.sqrt(total)
+        assert kendall_tau(np.arange(n), y) == expected
+
     def test_errors(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 2, 3])
@@ -244,6 +282,13 @@ class TestKendallTau:
             kendall_tau([1, 1, 1], [1, 2, 3])
         with pytest.raises(ValueError):
             kendall_tau([1], [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            kendall_tau([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            kendall_tau([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(8)

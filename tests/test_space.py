@@ -1,9 +1,13 @@
 """Space tests: file round trips, graph invariants, synthesis, calibration."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltrnas import metrics, space
 from ltrnas.space import (
@@ -111,6 +115,57 @@ class TestLoadSpace:
         save_space(sp, p1)
         save_space(load_space(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PERCENT = st.floats(0.0, 100.0)
+
+
+@st.composite
+def _cells(draw, n_cells):
+    """Valid cells: a chain input -> ops -> output plus forward skip edges."""
+    cells = []
+    for _ in range(n_cells):
+        ops = draw(st.lists(st.sampled_from(VOCAB[2:]), max_size=4))
+        n = len(ops) + 2
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+        edges = tuple(sorted({(i, i + 1) for i in range(n - 1)} | {(i, j) for i, j in pairs if i + 1 < j}))
+        cells.append(ArchGraph(nodes=("input", *ops, "output"), edges=edges))
+    return tuple(cells)
+
+
+@st.composite
+def _spaces(draw):
+    n_cells = draw(st.integers(1, 3))
+    hparam_dim = draw(st.integers(0, 3))
+    ids = draw(st.lists(st.text(alphabet=["a", "b", "\x00", "é", "\"", "Ω"], max_size=4),
+                        min_size=1, max_size=6, unique=True))
+    records = {}
+    for rid in ids:
+        arch = Architecture(
+            id=rid,
+            cells=draw(_cells(n_cells)),
+            hparams=tuple(draw(st.lists(_FINITE, min_size=hparam_dim, max_size=hparam_dim))),
+        )
+        records[rid] = BenchmarkRecord(
+            arch=arch, val_acc=draw(_PERCENT), test_acc=draw(_PERCENT), ws_acc=draw(st.none() | _PERCENT),
+            flops=draw(st.floats(0.0, 1e12)), params=draw(st.floats(0.0, 1e12)),
+        )
+    return space.SearchSpace(meta=SpaceMeta(name=draw(st.text(max_size=5)), vocab=VOCAB, hparam_dim=hparam_dim),
+                             records=records)
+
+
+class TestSpaceRoundTrip:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_spaces())
+    def test_save_load_save_is_byte_identical(self, sp):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "one.jsonl"), Path(tmp, "two.jsonl")
+            save_space(sp, first)
+            loaded = load_space(first)
+            save_space(loaded, second)
+            assert loaded == sp
+            assert first.read_bytes() == second.read_bytes()
 
 
 class TestGraphInvariants:
