@@ -22,7 +22,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,14 @@ class CliIoError(Exception):
 # ---------------------------------------------------------------------------
 
 def _prepare_out_dir(path_str: str | None) -> Path:
+    """An empty output directory, made if its parent exists. One that holds
+    anything is refused, so no earlier run's files end up next to this one's."""
     if not path_str:
         raise CliConfigError("--out is required")
     path = Path(path_str)
     if path.is_dir():
+        if any(path.iterdir()):
+            raise CliIoError(f"output directory {path} is not empty")
         return path
     if path.exists():
         raise CliIoError(f"output path {path} exists and is not a directory")
@@ -122,14 +126,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
+CURVE_HEADER = [f.name for f in fields(ltr.CurveRow)]
+
+
 def _curve_rows(curve: list[ltr.CurveRow]) -> list[list]:
-    return [
-        [r.epoch, r.split, r.loss, r.ndcg, r.r2_ws, r.r2_flops, r.r2_params, r.lr]
-        for r in curve
-    ]
-
-
-CURVE_HEADER = ["epoch", "split", "loss", "ndcg", "r2_ws", "r2_flops", "r2_params", "lr"]
+    return [list(astuple(r)) for r in curve]
 
 
 def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn.ModelConfig:
@@ -220,7 +221,7 @@ def cmd_pretrain(args) -> int:
     records = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
 
     model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
-    tcfg = _checked(ltr.TrainConfig.pretrain_defaults, batch_size=args.batch_size, epochs=args.epochs,
+    tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs,
                     lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
     result = ltr.pretrain(model, records, tcfg)
 

@@ -6,7 +6,8 @@ supervision that teaches the encoder what an architecture looks like.
 Finetuning transfers that encoder and trains the rank head listwise: each
 shuffled mini-batch is one list, and per-item gradient coefficients are
 accumulated over all in-list pairs (sigmoid of score differences, optionally
-scaled by the NDCG change of swapping the pair).
+scaled by the NDCG change of swapping the pair). Both stages run one
+training loop and differ only in the per-batch loss they hand it.
 
 The data views enforce information hygiene: pretraining records carry no
 validation or test accuracy, finetuning examples carry no test accuracy.
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,9 +82,6 @@ class TrainConfig:
     weight_decay: float = 0.0005
     early_stop_patience: int | None = 50
     sigma: float = 1.0              # sigmoid scale in the pairwise coefficients
-    lambda_flops: float = 1.0
-    lambda_params: float = 1.0
-    holdout_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -91,18 +89,15 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.lr0 <= 0 or self.sigma <= 0:
             raise ValueError("lr0 and sigma must be positive")
-        if self.weight_decay < 0 or self.lambda_flops < 0 or self.lambda_params < 0:
-            raise ValueError("weights must be nonnegative")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be nonnegative")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 or None")
 
-    @classmethod
-    def pretrain_defaults(cls, **kw) -> "TrainConfig":
-        base = dict(lr0=0.001, weight_decay=1e-5, early_stop_patience=None)
-        base.update(kw)
-        return cls(**base)
+
+# Share of the records held out: pretraining reports R-squared on them,
+# finetuning early-stops on their NDCG.
+HOLDOUT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -143,25 +138,22 @@ class CurveRow:
 # losses and gradient coefficients
 # ---------------------------------------------------------------------------
 
-def multitask_mse(
-    preds: dict[str, np.ndarray],
-    labels: dict[str, np.ndarray],
-    lambda_flops: float = 1.0,
-    lambda_params: float = 1.0,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE(ws) + lambda_flops*MSE(flops) + lambda_params*MSE(params), with
-    per-prediction gradients 2*(pred - label)/batch scaled by the channel weight."""
-    weights = {"ws": 1.0, "flops": lambda_flops, "params": lambda_params}
+def _mse(pred, target) -> tuple[float, np.ndarray]:
+    """Mean squared error and its per-prediction gradient 2*(pred - target)/n."""
+    err = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    return float(np.mean(err**2)), 2.0 * err / err.size
+
+
+def multitask_mse(preds: dict[str, np.ndarray], labels: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
+    """MSE(ws) + MSE(flops) + MSE(params), with each channel's `_mse` gradient."""
     loss = 0.0
     grads = {}
     for channel in CHANNELS:
-        p = np.asarray(preds[channel], dtype=np.float64)
-        t = np.asarray(labels[channel], dtype=np.float64)
-        if p.shape != t.shape:
-            raise ValueError(f"channel {channel!r}: prediction shape {p.shape} != label shape {t.shape}")
-        err = p - t
-        loss += weights[channel] * float(np.mean(err**2))
-        grads[channel] = weights[channel] * 2.0 * err / err.size
+        if np.shape(preds[channel]) != np.shape(labels[channel]):
+            raise ValueError(f"channel {channel!r}: prediction shape {np.shape(preds[channel])} "
+                             f"!= label shape {np.shape(labels[channel])}")
+        part, grads[channel] = _mse(preds[channel], labels[channel])
+        loss += part
     return loss, grads
 
 
@@ -261,29 +253,28 @@ class FinetuneResult:
     curve: list[CurveRow]
 
 
-def _holdout_size(n: int, fraction: float, minimum: int) -> int:
-    n_hold = int(round(fraction * n))
-    if n_hold > 0:
-        n_hold = max(n_hold, minimum)
-    if n - n_hold < max(2, minimum) or n_hold < minimum:
-        return 0
-    return n_hold
+def _holdout_size(n: int) -> int:
+    """HOLDOUT_FRACTION of n records, at least 2; none when that would leave
+    fewer than 2 for training."""
+    n_hold = int(round(HOLDOUT_FRACTION * n))
+    n_hold = max(n_hold, 2) if n_hold else 0
+    return n_hold if n - n_hold >= 2 else 0
 
 
-def _split_holdout(n: int, fraction: float, rng: np.random.Generator, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_holdout(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(train_idx, holdout_idx); holdout empty when the set is too small to spare."""
-    n_hold = _holdout_size(n, fraction, minimum)
+    n_hold = _holdout_size(n)
     if n_hold == 0:
         return np.arange(n), np.arange(0)
     perm = rng.permutation(n)
     return perm[n_hold:], perm[:n_hold]
 
 
-def _stratified_holdout(values, fraction: float, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+def _stratified_holdout(values) -> tuple[np.ndarray, np.ndarray]:
     """Holdout at evenly spaced ranks of `values` (extremes stay in training),
     so the early-stop NDCG always sees a spread of relevances. Deterministic."""
     n = len(values)
-    n_hold = _holdout_size(n, fraction, minimum)
+    n_hold = _holdout_size(n)
     if n_hold == 0:
         return np.arange(n), np.arange(0)
     order = np.argsort(np.asarray(values), kind="stable")
@@ -305,14 +296,43 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np
     return chunks
 
 
+def _train_epochs(
+    model: nn.RankingModel, packed: nn.Packed, train_idx: np.ndarray, heads: Sequence[str],
+    batch_loss: Callable[[np.ndarray, dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
+    cfg: TrainConfig, trainable: Sequence[str], rng: np.random.Generator, seed_rng: np.random.Generator,
+) -> Iterator[CurveRow]:
+    """The training loop both stages share: per epoch, shuffled batches of
+    `train_idx`, each a train-mode forward of `heads`, `batch_loss(batch,
+    scores) -> (loss, {head: upstream})`, backward and an Adam step on the
+    `trainable` parameters under cosine decay. Yields each epoch's train row
+    once its last step is taken; the caller may stop early by not resuming."""
+    steps_per_epoch = max(1, -(-len(train_idx) // cfg.batch_size))
+    total_steps = cfg.epochs * steps_per_epoch
+    step = 0
+    for epoch in range(1, cfg.epochs + 1):
+        epoch_losses = []
+        for batch in _epoch_batches(len(train_idx), cfg.batch_size, rng):
+            lr = nn.cosine_lr(step, total_steps, cfg.lr0)
+            scores, ctx = nn.forward_heads(
+                model, packed.take(train_idx[batch]), heads, train_mode=True,
+                dropout_seed=int(seed_rng.integers(0, 2**31)),
+            )
+            loss, upstream = batch_loss(batch, scores)
+            nn.backward(model, upstream, ctx)
+            nn.adam_step(model.store, lr, weight_decay=cfg.weight_decay, names=trainable)
+            epoch_losses.append(loss)
+            step += 1
+        yield CurveRow(epoch=epoch, split="train", loss=float(np.mean(epoch_losses)), lr=lr)
+
+
 def _weak_labels(records: Sequence[WeakRecord]) -> dict[str, list[float]]:
     return {"ws": [r.ws_acc for r in records], "flops": [r.flops for r in records], "params": [r.params for r in records]}
 
 
 def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainConfig) -> PretrainResult:
     """Train the auxiliary heads (ws/flops/params) with multi-task MSE on
-    normalized labels; Adam with cosine decay, no early stopping by default.
-    Returns a trained copy of the model plus held-out R-squared per channel.
+    normalized labels for cfg.epochs (no early stopping). Returns a trained
+    copy of the model plus held-out R-squared per channel.
     """
     if not records:
         raise ValueError("no pretraining records")
@@ -320,36 +340,22 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E37]))
     seed_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD809]))
 
-    train_idx, hold_idx = _split_holdout(len(records), cfg.holdout_fraction, rng, minimum=2)
+    train_idx, hold_idx = _split_holdout(len(records), rng)
     train = [records[i] for i in train_idx]
     hold = [records[i] for i in hold_idx]
     packed = nn.pack([r.encoded for r in records])
     nn.set_hparam_stats(model, [r.encoded for r in train])
     normalizer = fit_normalizer(_weak_labels(train))
     labels = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(train).items()}
+
+    def batch_loss(batch, preds):
+        return multitask_mse(preds, {ch: labels[ch][batch] for ch in CHANNELS})
+
     # The rank head is not part of the pretraining model (the auxiliary heads
     # replace it); leaving it in the optimizer would let Adam's normalized
     # weight-decay steps grind its untouched weights to zero.
     trainable = [n for n in model.store.names() if not n.startswith("head_rank")]
-    steps_per_epoch = max(1, -(-len(train) // cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
-    curve: list[CurveRow] = []
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        epoch_losses = []
-        for batch_idx in _epoch_batches(len(train), cfg.batch_size, rng):
-            lr = nn.cosine_lr(step, total_steps, cfg.lr0)
-            preds, ctx = nn.forward_heads(
-                model, packed.take(train_idx[batch_idx]), CHANNELS, train_mode=True,
-                dropout_seed=int(seed_rng.integers(0, 2**31)),
-            )
-            batch_labels = {ch: labels[ch][batch_idx] for ch in CHANNELS}
-            loss, grads = multitask_mse(preds, batch_labels, cfg.lambda_flops, cfg.lambda_params)
-            nn.backward(model, grads, ctx)
-            nn.adam_step(model.store, lr, weight_decay=cfg.weight_decay, names=trainable)
-            epoch_losses.append(loss)
-            step += 1
-        curve.append(CurveRow(epoch=epoch, split="train", loss=float(np.mean(epoch_losses)), lr=lr))
+    curve = list(_train_epochs(model, packed, train_idx, CHANNELS, batch_loss, cfg, trainable, rng, seed_rng))
 
     r2 = {ch: float("nan") for ch in CHANNELS}
     if len(hold) >= 2:
@@ -404,73 +410,55 @@ def finetune(
         # Fresh (non-transferred) model: fit hyper-parameter stats here.
         nn.set_hparam_stats(model, [e.encoded for e in examples])
 
-    train_idx, hold_idx = _stratified_holdout(accs, cfg.holdout_fraction, minimum=2)
+    train_idx, hold_idx = _stratified_holdout(accs)
     train = [examples[i] for i in train_idx]
     packed = nn.pack([e.encoded for e in examples])
     hold_batch = packed.take(hold_idx) if len(hold_idx) >= 2 else None
     rels_train = rels_all[train_idx]
     hold_ranked_entries = [(examples[i].arch_id, float(rels_all[i])) for i in hold_idx]
 
-    normalizer = None
     if loss == "mse":
         vals = [e.val_acc for e in train]
-        if np.ptp(vals) > 0:
-            normalizer = fit_normalizer({"val": vals})
+        targets = fit_normalizer({"val": vals}).normalize("val", vals) if np.ptp(vals) > 0 else np.zeros(len(train))
+
+    def batch_loss(batch, scores):
+        s = scores["rank"]
+        if loss == "mse":
+            value, coeffs = _mse(s, targets[batch])
+        else:
+            rels = rels_train[batch]
+            if loss == "lambdarank":
+                coeffs = lambdarank_lambdas(s, rels, cfg.sigma, ids=[train[i].arch_id for i in batch])
+            else:
+                coeffs = ranknet_lambdas(s, rels, cfg.sigma)
+            value = _pairwise_logistic_loss(s, rels, cfg.sigma)
+        return value, {"rank": coeffs}
 
     trainable = _finetune_param_names(model)
-    steps_per_epoch = max(1, -(-len(train) // cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
     curve: list[CurveRow] = []
     best_params = None
     best_ndcg = None
     patience = 0
     stopped_epoch = cfg.epochs
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        epoch_losses = []
-        for batch_idx in _epoch_batches(len(train), cfg.batch_size, rng):
-            lr = nn.cosine_lr(step, total_steps, cfg.lr0)
-            ids = [train[i].arch_id for i in batch_idx]
-            rels = rels_train[batch_idx]
-            scores, ctx = nn.forward(
-                model, packed.take(train_idx[batch_idx]), "rank", train_mode=True,
-                dropout_seed=int(seed_rng.integers(0, 2**31)),
-            )
-            if loss == "mse":
-                if normalizer is None:
-                    targets = np.zeros(len(batch_idx))
-                else:
-                    targets = normalizer.normalize("val", [train[i].val_acc for i in batch_idx])
-                err = scores - targets
-                coeffs = 2.0 * err / err.size
-                epoch_losses.append(float(np.mean(err**2)))
-            else:
-                if loss == "lambdarank":
-                    coeffs = lambdarank_lambdas(scores, rels, cfg.sigma, ids=ids)
-                else:
-                    coeffs = ranknet_lambdas(scores, rels, cfg.sigma)
-                epoch_losses.append(_pairwise_logistic_loss(scores, rels, cfg.sigma))
-            nn.backward(model, coeffs, ctx)
-            nn.adam_step(model.store, lr, weight_decay=cfg.weight_decay, names=trainable)
-            step += 1
-        curve.append(CurveRow(epoch=epoch, split="train", loss=float(np.mean(epoch_losses)), lr=lr))
-
-        if hold_batch is not None:
-            hold_scores, _ = nn.forward(model, hold_batch, "rank")
-            ranked = metrics.rank_by_score(
-                [(rid, float(s), rel) for (rid, rel), s in zip(hold_ranked_entries, hold_scores)]
-            )
-            val_ndcg = metrics.ndcg(ranked)
-            curve.append(CurveRow(epoch=epoch, split="holdout", ndcg=val_ndcg))
-            if best_ndcg is None or val_ndcg > best_ndcg:
-                best_ndcg = val_ndcg
-                best_params = {k: v.copy() for k, v in model.store.params.items()}
-                patience = 0
-            else:
-                patience += 1
-                if cfg.early_stop_patience is not None and patience >= cfg.early_stop_patience:
-                    stopped_epoch = epoch
-                    break
+    for row in _train_epochs(model, packed, train_idx, ("rank",), batch_loss, cfg, trainable, rng, seed_rng):
+        curve.append(row)
+        if hold_batch is None:
+            continue
+        hold_scores, _ = nn.forward(model, hold_batch, "rank")
+        ranked = metrics.rank_by_score(
+            [(rid, float(s), rel) for (rid, rel), s in zip(hold_ranked_entries, hold_scores)]
+        )
+        val_ndcg = metrics.ndcg(ranked)
+        curve.append(CurveRow(epoch=row.epoch, split="holdout", ndcg=val_ndcg))
+        if best_ndcg is None or val_ndcg > best_ndcg:
+            best_ndcg = val_ndcg
+            best_params = {k: v.copy() for k, v in model.store.params.items()}
+            patience = 0
+        else:
+            patience += 1
+            if cfg.early_stop_patience is not None and patience >= cfg.early_stop_patience:
+                stopped_epoch = row.epoch
+                break
 
     if best_params is not None:
         for k, v in best_params.items():

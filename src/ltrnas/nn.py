@@ -83,13 +83,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.params)
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def num_params(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def clone(self) -> "ParamStore":
         """Copy of the parameter values with fresh gradient/optimizer state."""
         return ParamStore({k: v.copy() for k, v in self.params.items()})
@@ -409,20 +402,14 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
     return (_CellTrace(ops, prop, nodes, outputs, selected, pooled, conv_pre) if keep else None), flat
 
 
-def backward(model: RankingModel, upstream, ctx: ForwardContext) -> None:
-    """Accumulate exact gradients of sum(upstream * score) into the store.
-
-    `upstream` is a length-B array for a single-head context, or a mapping
-    head -> length-B array covering every head the forward pass ran.
-    """
+def backward(model: RankingModel, upstream: dict[str, np.ndarray], ctx: ForwardContext) -> None:
+    """Accumulate exact gradients of sum over heads of upstream[head] * scores[head]
+    into the store; `upstream` maps every head the forward pass ran to a
+    length-B array."""
     if not ctx.train_mode:
         raise ValueError("backward needs activations recorded in train mode")
     if ctx.store_version != model.store.version:
         raise ValueError("stale activations: parameters changed since forward")
-    if not isinstance(upstream, dict):
-        if len(ctx.heads) != 1:
-            raise ValueError("array upstream is ambiguous for a multi-head context")
-        upstream = {ctx.heads[0]: upstream}
     ups = {h: np.asarray(upstream[h], dtype=np.float64) for h in ctx.heads}
     for h, u in ups.items():
         if u.shape != (ctx.batch_size,):

@@ -93,7 +93,7 @@ def test_criterion_03_gradient_integrity():
         sp = space.generate_synthetic_space(scfg)
         batch = [space.encode_architecture(r.arch, sp.meta.vocab) for r in list(sp.records.values())[:3]]
         model = nn.build_model(cfg)
-        total_params += model.store.num_params()
+        total_params += sum(v.size for v in model.store.params.values())
         rng = np.random.default_rng(cfg.seed + 7)
         ups = {head: rng.standard_normal(len(batch)) for head in nn.HEADS}
 
@@ -219,7 +219,7 @@ def experiment():
     pre = ltr.pretrain(
         nn.build_model(model_cfg),
         ltr.weak_view(sp, pre_ids),
-        ltr.TrainConfig.pretrain_defaults(epochs=40, lr0=0.005, seed=55),
+        ltr.TrainConfig(epochs=40, lr0=0.005, weight_decay=1e-5, seed=55),
     )
 
     best_test = tests.max()
@@ -378,7 +378,7 @@ def test_criterion_10_benchmark_file_optional():
     pre_ids = [bench.ids[i] for i in sorted(rng.choice(len(bench), min(4000, len(bench)), replace=False))]
     pre = ltr.pretrain(
         nn.build_model(model_cfg), ltr.weak_view(bench, pre_ids),
-        ltr.TrainConfig.pretrain_defaults(epochs=40, lr0=0.005, seed=55),
+        ltr.TrainConfig(epochs=40, lr0=0.005, weight_decay=1e-5, seed=55),
     )
     finals = []
     for seed in range(1000, 1010):

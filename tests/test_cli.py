@@ -253,6 +253,15 @@ class TestSearch:
             "budget_curve.csv", "round_metrics.csv", "run_config.json", "trace.jsonl",
         ]
 
+    def test_used_out_dir_is_io_error(self, tmp_path, space_dir, pretrain_dir, capsys):
+        # an earlier run's files would survive next to the new ones, and `report` would read them
+        out = tmp_path / "run"
+        assert run(*search_args(space_dir, pretrain_dir, out)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(*search_args(space_dir, pretrain_dir, out, seed=6)) == EXIT_IO
+        assert "is not empty" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "odd"
         argv = search_args(space_dir, pretrain_dir, out)
@@ -362,13 +371,13 @@ class TestConfigFile:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": 30}))
-        assert run("synth", "--out", tmp_path, "--seed", "1", "--config", cfg) == EXIT_CONFIG
+        assert run("synth", "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
 
     def test_help_is_not_a_config_key(self, tmp_path):
         # every accepted key lands in run_config.json; argparse's help is not a setting
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"help": True}))
-        assert run("synth", "--out", tmp_path, "--seed", "1", "--config", cfg) == EXIT_CONFIG
+        assert run("synth", "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
 
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--out", tmp_path, "--seed", "1", "--config", tmp_path / "nope.json") == EXIT_IO

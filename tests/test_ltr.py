@@ -1,6 +1,7 @@
 """Training-procedure tests: losses, lambda coefficients, both trainers."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -112,18 +113,11 @@ class TestMultitaskMse:
         loss, _ = multitask_mse(preds, labels)
         assert loss == pytest.approx(14.0)
 
-    def test_zero_weights_reduce_to_accuracy_mse(self):
-        preds = {"ws": np.array([1.0, 3.0]), "flops": np.array([9.0, 9.0]), "params": np.array([7.0, 7.0])}
-        labels = {"ws": np.array([0.0, 0.0]), "flops": np.array([0.0, 0.0]), "params": np.array([0.0, 0.0])}
-        loss, grads = multitask_mse(preds, labels, lambda_flops=0.0, lambda_params=0.0)
-        assert loss == pytest.approx(np.mean([1.0, 9.0]))
-        assert np.all(grads["flops"] == 0.0)
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         preds = {c: rng.standard_normal(6) for c in ltr.CHANNELS}
         labels = {c: rng.standard_normal(6) for c in ltr.CHANNELS}
-        loss, grads = multitask_mse(preds, labels, lambda_flops=0.7, lambda_params=1.3)
+        loss, grads = multitask_mse(preds, labels)
         h = 1e-6
         for c in ltr.CHANNELS:
             for i in range(6):
@@ -131,7 +125,7 @@ class TestMultitaskMse:
                 dn = {k: v.copy() for k, v in preds.items()}
                 up[c][i] += h
                 dn[c][i] -= h
-                fd = (multitask_mse(up, labels, 0.7, 1.3)[0] - multitask_mse(dn, labels, 0.7, 1.3)[0]) / (2 * h)
+                fd = (multitask_mse(up, labels)[0] - multitask_mse(dn, labels)[0]) / (2 * h)
                 assert grads[c][i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_shape_mismatch(self):
@@ -292,7 +286,7 @@ class TestViews:
 class TestPretrain:
     def test_deterministic_checkpoints(self, weak_space):
         records = weak_view(weak_space, weak_space.ids[:60])
-        cfg = TrainConfig.pretrain_defaults(epochs=2, seed=11)
+        cfg = TrainConfig(epochs=2, lr0=0.001, weight_decay=1e-5, seed=11)
         m1 = pretrain(nn.build_model(MODEL_CFG), records, cfg).model
         m2 = pretrain(nn.build_model(MODEL_CFG), records, cfg).model
         assert nn.checkpoint_bytes(m1) == nn.checkpoint_bytes(m2)
@@ -300,7 +294,7 @@ class TestPretrain:
     def test_loss_decreases_on_learnable_space(self, weak_space):
         records = weak_view(weak_space, weak_space.ids[:10])
         model = nn.build_model(MODEL_CFG)
-        cfg = TrainConfig.pretrain_defaults(epochs=1, seed=11, holdout_fraction=0.0)
+        cfg = TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=11)
         norm = fit_normalizer(
             {"ws": [r.ws_acc for r in records], "flops": [r.flops for r in records], "params": [r.params for r in records]}
         )
@@ -322,7 +316,7 @@ class TestPretrain:
         records = weak_view(weak_space, weak_space.ids[:20])
         model = nn.build_model(MODEL_CFG)
         frozen = nn.checkpoint_bytes(model)
-        pretrain(model, records, TrainConfig.pretrain_defaults(epochs=1, seed=1))
+        pretrain(model, records, TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=1))
         assert nn.checkpoint_bytes(model) == frozen
 
     def test_high_fidelity_labels_reach_high_r2(self):
@@ -335,7 +329,7 @@ class TestPretrain:
             conv_channels=(48,) * 4, sortpool_nodes=8, conv1d_channels=12,
             hparam_proj=8, head_hidden=48, dropout=0.1, seed=5,
         )
-        result = pretrain(nn.build_model(mcfg), records, TrainConfig.pretrain_defaults(epochs=50, lr0=0.005, seed=9))
+        result = pretrain(nn.build_model(mcfg), records, TrainConfig(epochs=50, lr0=0.005, weight_decay=1e-5, seed=9))
         assert result.r2["ws"] >= 0.9
         assert result.r2["flops"] > 0.98
         assert result.r2["params"] > 0.98
@@ -416,3 +410,46 @@ class TestFinetune:
         m1 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model
         m2 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model
         assert nn.checkpoint_bytes(m1) == nn.checkpoint_bytes(m2)
+
+
+def count_train_calls(monkeypatch):
+    """Replace the module bindings the traced bench wraps with counting ones."""
+    calls = dict.fromkeys(["train_forward", "eval_forward", "backward", "adam_step", "lambdarank_lambdas"], 0)
+
+    def wrap(module, name, key):
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+
+        def counting(*args, **kwargs):
+            calls[key(signature.bind(*args, **kwargs).arguments) if callable(key) else key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    wrap(nn, "forward_heads", lambda a: "train_forward" if a.get("train_mode") else "eval_forward")
+    wrap(nn, "backward", "backward")
+    wrap(nn, "adam_step", "adam_step")
+    wrap(ltr, "lambdarank_lambdas", "lambdarank_lambdas")
+    return calls
+
+
+class TestTrainStepCalls:
+    # The traced bench times train steps (nn.step_ms_*) and the lambdas
+    # (ltr.lambdas_s) by wrapping these module bindings, so each train step
+    # must reach them through the modules at call time, once per batch.
+
+    def test_pretrain_one_call_per_batch(self, weak_space, monkeypatch):
+        calls = count_train_calls(monkeypatch)
+        records = weak_view(weak_space, weak_space.ids[:60])  # 6 held out, 54 in batches of 20, 20, 14
+        pretrain(nn.build_model(MODEL_CFG), records, TrainConfig(epochs=2, seed=11))
+        assert calls == {"train_forward": 6, "eval_forward": 1, "backward": 6, "adam_step": 6,
+                         "lambdarank_lambdas": 0}
+
+    @pytest.mark.parametrize("loss", ["lambdarank", "ranknet", "mse"])
+    def test_finetune_one_call_per_batch(self, weak_space, monkeypatch, loss):
+        calls = count_train_calls(monkeypatch)
+        examples = labeled([weak_space.records[r] for r in weak_space.ids[:30]], weak_space.meta.vocab)
+        # 3 held out, 27 in batches of 20 and 7; one holdout eval per epoch
+        finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=3, early_stop_patience=None, seed=4), loss)
+        assert calls == {"train_forward": 6, "eval_forward": 3, "backward": 6, "adam_step": 6,
+                         "lambdarank_lambdas": 6 if loss == "lambdarank" else 0}
