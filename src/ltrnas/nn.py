@@ -9,15 +9,17 @@ two-layer perceptron heads (rank, ws, flops, params) each emit one scalar per
 item.
 
 Batches are packed once per set (`pack`, then `Packed.take`): op indices and
-propagation matrices zero-padded to the largest node count. Eval scores one
-unpadded chunk per node count and keeps no activations; train runs the batch
-dense, with padded rows sorted after every real row. Backward sums each
-reduction per node-count group, so every score and gradient is bitwise that
-of the groups run one by one. Everything is double precision and the
-backward pass is exact reverse-mode differentiation of the fixed operator
-set above, so finite differences can be used as a hard oracle. Forward in
-eval mode is a pure function of (parameters, input); train mode adds seeded
-inverted dropout inside the heads.
+propagation matrices zero-padded to the largest node count. Train runs the
+batch dense, with padded rows sorted after every real row; so does eval when
+the batch's padded node rows fit `EVAL_ROWS`. A larger eval batch runs in
+unpadded chunks of at most `EVAL_ROWS` rows within each node count, and eval
+keeps no activations, so its memory does not grow with the batch. Backward
+sums each reduction per node-count group, so every score and gradient is
+bitwise that of the groups run one by one. Everything is double precision
+and the backward pass is exact reverse-mode differentiation of the fixed
+operator set above, so finite differences can be used as a hard oracle.
+Forward in eval mode is a pure function of (parameters, input); train mode
+adds seeded inverted dropout inside the heads.
 """
 
 from __future__ import annotations
@@ -267,7 +269,9 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-EVAL_CHUNK = 1024  # most items scored at once in eval mode, which bounds its memory
+# Most padded node rows, summed over cells, that one eval chunk encodes; keeps
+# a chunk's features within cache and eval memory flat in the batch size.
+EVAL_ROWS = 1024
 
 
 @dataclass
@@ -326,9 +330,14 @@ def forward_heads(
     order = np.lexsort(packed.nodes.T[::-1])
     bounds = [0, *(np.flatnonzero(np.diff(packed.nodes[order], axis=0).any(axis=1)) + 1).tolist(), len(order)]
     ctx = ForwardContext(tuple(heads), train_mode, len(packed), model.store.version, order, bounds)
-    chunks = [(0, len(order))] if train_mode else [
-        (a, min(a + EVAL_CHUNK, hi)) for lo, hi in zip(bounds, bounds[1:]) for a in range(lo, hi, EVAL_CHUNK)
-    ]
+    # Train mode, and an eval batch whose padded rows fit the budget, run as one
+    # dense chunk; a larger eval batch runs each node-count group in unpadded
+    # chunks of at most EVAL_ROWS rows (at least one item).
+    if train_mode or len(order) * packed.nodes.max(axis=0).sum() <= EVAL_ROWS:
+        chunks = [(0, len(order))]
+    else:
+        chunks = [(a, min(a + step, hi)) for lo, hi in zip(bounds, bounds[1:])
+                  for step in [max(1, EVAL_ROWS // packed.nodes[order[lo]].sum())] for a in range(lo, hi, step)]
     scores = {head: np.empty(len(packed)) for head in heads}
     for lo, hi in chunks:
         out = _dense_forward(model, packed.take(order[lo:hi]), heads, bounds, rng, ctx if train_mode else None)

@@ -136,8 +136,9 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
         pred[d].append(s)
 
     # Kahn topological pass doubles as the cycle check.
+    sources = [v for v in range(n) if not pred[v]]
     indeg = [len(p) for p in pred]
-    queue = [v for v in range(n) if indeg[v] == 0]
+    queue = list(sources)
     seen = 0
     while queue:
         v = queue.pop()
@@ -149,6 +150,10 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
     if seen != n:
         raise SpaceValidationError(f"{where}graph contains a cycle")
 
+    # In a DAG every node descends from a source and leads to a sink, so all
+    # nodes are reachable from input exactly when input is the only source,
+    # and all reach output exactly when output is the only sink. The walks
+    # only name the offending nodes.
     def reach(start: int, adj) -> set[int]:
         out = {start}
         stack = [start]
@@ -162,13 +167,13 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
 
     src = g.nodes.index("input")
     dst = g.nodes.index("output")
-    from_input = reach(src, succ)
-    to_output = reach(dst, pred)
-    missing = [v for v in range(n) if v != src and v not in from_input]
-    if missing:
+    if sources != [src]:
+        from_input = reach(src, succ)
+        missing = [v for v in range(n) if v != src and v not in from_input]
         raise SpaceValidationError(f"{where}nodes {missing} unreachable from input")
-    missing = [v for v in range(n) if v != dst and v not in to_output]
-    if missing:
+    if [v for v in range(n) if not succ[v]] != [dst]:
+        to_output = reach(dst, pred)
+        missing = [v for v in range(n) if v != dst and v not in to_output]
         raise SpaceValidationError(f"{where}nodes {missing} cannot reach output")
 
 

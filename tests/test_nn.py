@@ -2,6 +2,9 @@
 batch independence, sort-pooling, optimizer and checkpoint behavior."""
 
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,8 +190,9 @@ class TestPacked:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(st.sampled_from([1, 2]), st.lists(st.integers(0, 29), min_size=1, max_size=12))
     def test_packed_sequence_and_single_items_bitwise(self, mixed_encs, n_cells, picks):
-        # eval scores per node-count chunk, train one padded dense batch (the
-        # same numbers without dropout): all must agree with items scored alone
+        # eval scores a batch this small as one padded chunk, train as one padded
+        # dense batch (the same numbers without dropout): all must agree with
+        # items scored alone
         cfg, encs = mixed_encs[n_cells]
         model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
         model.store.params["nodeconv.bias"][0] = 0.3  # empty pooled slots pass the ReLU
@@ -200,6 +204,64 @@ class TestPacked:
             alone = np.array([forward(model, [enc], head)[0][0] for enc in batch])
             for scores in runs:
                 np.testing.assert_array_equal(scores[head].view(np.int64), alone.view(np.int64))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([1, 2]), st.sampled_from([1, 6, 25]), st.lists(st.integers(0, 29), min_size=1, max_size=12))
+    def test_eval_chunk_boundaries_are_invisible(self, mixed_encs, n_cells, budget, picks):
+        # under a small row budget a batch runs whole if its padded rows fit,
+        # else each node-count group runs in consecutive unpadded chunks
+        cfg, encs = mixed_encs[n_cells]
+        model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
+        model.store.params["nodeconv.bias"][0] = 0.3
+        packed = nn.pack(encs).take(picks)
+        alone = {head: np.array([forward(model, [encs[i]], head)[0][0] for i in picks]) for head in HEADS}
+        chunks, dense = [], nn._dense_forward
+        def counted(model, chunk, *args):
+            chunks.append(chunk.nodes)
+            return dense(model, chunk, *args)
+        with mock.patch.object(nn, "EVAL_ROWS", budget), mock.patch.object(nn, "_dense_forward", counted):
+            scores, _ = forward_heads(model, packed, HEADS)
+        for head in HEADS:
+            np.testing.assert_array_equal(scores[head].view(np.int64), alone[head].view(np.int64))
+        if len(picks) * packed.nodes.max(axis=0).sum() <= budget:
+            assert len(chunks) == 1
+            return
+        keys, counts = np.unique(packed.nodes, axis=0, return_counts=True)
+        assert len(chunks) == sum(-(-c // max(1, budget // k.sum())) for k, c in zip(keys, counts))
+        for nodes in chunks:
+            assert (nodes == nodes[0]).all()
+            assert len(nodes) == 1 or nodes.sum() <= budget
+
+    @pytest.mark.parametrize("budget", [5, 10, 35])
+    def test_eval_group_runs_in_ceil_rows_over_budget_chunks(self, mixed_encs, budget):
+        cfg, encs = mixed_encs[1]
+        model = build_model(cfg)
+        group = [enc for enc in encs if len(enc.cells[0].onehot) == 5][:7]
+        assert len(group) == 7
+        calls, dense = [], nn._dense_forward
+        def counted(*args):
+            calls.append(1)
+            return dense(*args)
+        with mock.patch.object(nn, "EVAL_ROWS", budget), mock.patch.object(nn, "_dense_forward", counted):
+            forward(model, group)
+        assert len(calls) == math.ceil(7 * 5 / budget)
+
+    def test_eval_memory_flat_in_pool_size(self):
+        # the bench model over pools of 5-11 nodes: one eval forward's peak
+        # allocation stays within the chunk budget however many items it scores
+        synth = space.SynthConfig(size=1000, node_range=(5, 11), vocab_size=9, seed=4)
+        sp = space.generate_synthetic_space(synth)
+        packed = nn.pack([space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()])
+        model = build_model(ModelConfig(vocab_size=9, hparam_dim=2, conv_channels=(64,) * 4, sortpool_nodes=12,
+                                        conv1d_channels=16, hparam_proj=8, head_hidden=64))
+        forward(model, packed.take(np.arange(100)))
+        peaks = []
+        for pool in (packed, packed.take(np.tile(np.arange(1000), 3))):
+            tracemalloc.start()
+            forward(model, pool)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
 
     @pytest.mark.parametrize("n_cells", [1, 2])
     def test_backward_equals_node_count_groups_in_order(self, mixed_encs, n_cells):

@@ -168,7 +168,72 @@ class TestSpaceRoundTrip:
             assert first.read_bytes() == second.read_bytes()
 
 
+def _graph_errors(g):
+    """The message `validate_graph` must raise for `g` (None if valid),
+    checked in its order against a brute-force transitive closure."""
+    n = len(g.nodes)
+    if n == 0:
+        return "empty graph"
+    if g.nodes.count("input") != 1 or g.nodes.count("output") != 1:
+        return "graph must contain exactly one input and one output node"
+    for s, d in g.edges:
+        if not (0 <= s < n and 0 <= d < n):
+            return f"edge ({s}, {d}) out of range for {n} nodes"
+        if s == d:
+            return f"self-edge on node {s}"
+    path = np.zeros((n, n), dtype=bool)
+    for s, d in g.edges:
+        path[s, d] = True
+    for _ in range(n):
+        path |= (path.astype(int) @ path.astype(int)) > 0
+    if path.diagonal().any():
+        return "graph contains a cycle"
+    src, dst = g.nodes.index("input"), g.nodes.index("output")
+    missing = [v for v in range(n) if v != src and not path[src, v]]
+    if missing:
+        return f"nodes {missing} unreachable from input"
+    missing = [v for v in range(n) if v != dst and not path[v, dst]]
+    if missing:
+        return f"nodes {missing} cannot reach output"
+    return None
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs of 0-7 nodes: mostly one input and one output with edges along
+    a random topological order, sometimes spanning a chain through it, plus
+    at times any other edge (a back edge, a self-edge, out of range) or
+    arbitrary node labels."""
+    n = draw(st.integers(0, 7))
+    order = draw(st.permutations(range(n)))
+    if n >= 2 and draw(st.integers(0, 4)):
+        nodes = draw(st.lists(st.sampled_from(["add", "conv3x3"]), min_size=n, max_size=n))
+        nodes[order[0]], nodes[order[-1]] = "input", "output"
+        if draw(st.booleans()):
+            order = draw(st.permutations(order))
+    else:
+        nodes = draw(st.lists(st.sampled_from(["input", "output", "add"]), min_size=n, max_size=n))
+    forward = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(forward), max_size=10)) if forward else []
+    if draw(st.booleans()):
+        edges += [(order[a], order[a + 1]) for a in range(n - 1)]
+    if draw(st.integers(0, 3)) == 0:
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.tuples(st.integers(-1, n), st.integers(-1, n))))
+    return ArchGraph(nodes=tuple(nodes), edges=tuple(draw(st.permutations(edges))))
+
+
 class TestGraphInvariants:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_graphs())
+    def test_matches_transitive_closure(self, g):
+        expected = _graph_errors(g)
+        if expected is None:
+            validate_graph(g)
+        else:
+            with pytest.raises(SpaceValidationError) as err:
+                validate_graph(g)
+            assert str(err.value) == expected
+
     def test_requires_single_input_output(self):
         g = ArchGraph(nodes=("input", "input", "output"), edges=((0, 2), (1, 2)))
         with pytest.raises(SpaceValidationError, match="exactly one"):
