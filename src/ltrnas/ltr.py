@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 CHANNELS = ("ws", "flops", "params")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakRecord:
     """Pretraining view of a record: weak label and cost metrics only."""
 
@@ -41,7 +41,7 @@ class WeakRecord:
     params: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     """Finetuning view of a record: revealed validation accuracy only."""
 

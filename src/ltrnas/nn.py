@@ -9,17 +9,19 @@ two-layer perceptron heads (rank, ws, flops, params) each emit one scalar per
 item.
 
 Batches are packed once per set (`pack`, then `Packed.take`): op indices and
-propagation matrices zero-padded to the largest node count. Train runs the
-batch dense, with padded rows sorted after every real row; so does eval when
-the batch's padded node rows fit `EVAL_ROWS`. A larger eval batch runs in
-unpadded chunks of at most `EVAL_ROWS` rows within each node count, and eval
-keeps no activations, so its memory does not grow with the batch. Backward
-sums each reduction per node-count group, so every score and gradient is
-bitwise that of the groups run one by one. Everything is double precision
-and the backward pass is exact reverse-mode differentiation of the fixed
-operator set above, so finite differences can be used as a hard oracle.
-Forward in eval mode is a pure function of (parameters, input); train mode
-adds seeded inverted dropout inside the heads.
+propagation matrices zero-padded to the largest node count. A row selection
+(`Packed.select`) shares those arrays, so a candidate pool is copied only
+chunk by chunk. Train runs the batch dense, with padded rows sorted after
+every real row; so does eval when the batch's padded node rows fit
+`EVAL_ROWS`. A larger eval batch runs in unpadded chunks of at most
+`EVAL_ROWS` rows within each node count, and eval keeps no activations, so
+its memory does not grow with the batch. Backward sums each reduction per
+node-count group, so every score and gradient is bitwise that of the groups
+run one by one. Everything is double precision and the backward pass is
+exact reverse-mode differentiation of the fixed operator set above, so
+finite differences can be used as a hard oracle. Forward in eval mode is a
+pure function of (parameters, input); train mode adds seeded inverted
+dropout inside the heads.
 """
 
 from __future__ import annotations
@@ -160,26 +162,37 @@ def set_hparam_stats(model: RankingModel, encs: Sequence[EncodedArch]) -> None:
 
 @dataclass(frozen=True)
 class Packed:
-    """Encoder inputs: per cell, op indices (B, N) and propagation matrices
-    zero-padded to (B, N, N), N the cell's largest node count in the batch;
-    node counts (B, n_cells); hyper-parameters (B, hparam_dim)."""
+    """Encoder inputs: per cell, op indices (R, N) and propagation matrices
+    zero-padded to (R, N, N), N the cell's largest node count over the R
+    rows; node counts (B, n_cells); hyper-parameters (B, hparam_dim). Item i
+    sits in row `rows[i]` of the op and propagation arrays, or in row i
+    when `rows` is None."""
 
     ops: tuple[np.ndarray, ...]
     prop: tuple[np.ndarray, ...]
     nodes: np.ndarray
     hparams: np.ndarray
     vocab_size: int
+    rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def take(self, idx) -> "Packed":
-        """The items at positions `idx`, padded to their own largest node counts."""
+        """The items at positions `idx`, copied and padded to their own largest node counts."""
         nodes = self.nodes[idx]
         top = nodes.max(axis=0)
-        ops = tuple(o[idx, :m] for o, m in zip(self.ops, top))
-        prop = tuple(q[idx, :m, :m] for q, m in zip(self.prop, top))
+        rows = idx if self.rows is None else self.rows[idx]
+        ops = tuple(o[rows, :m] for o, m in zip(self.ops, top))
+        prop = tuple(q[rows, :m, :m] for q, m in zip(self.prop, top))
         return Packed(ops, prop, nodes, self.hparams[idx], self.vocab_size)
+
+    def select(self, idx) -> "Packed":
+        """The items at positions `idx` as a row selection: the op and
+        propagation arrays are shared, and `take` copies only what it takes."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = idx if self.rows is None else self.rows[idx]
+        return Packed(self.ops, self.prop, self.nodes[idx], self.hparams[idx], self.vocab_size, rows)
 
 
 def pack(encs: Sequence[EncodedArch]) -> Packed:

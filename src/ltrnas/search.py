@@ -101,10 +101,10 @@ class SearchView:
         return enc
 
     def pool(self, ids: Sequence[str]) -> "Pool":
-        """The candidates `ids`, taken from the whole space packed on first use."""
+        """The candidates `ids`, a row selection of the whole space packed on first use."""
         if self._packed is None:
             self._packed = nn.pack([self.encoded(rid) for rid in self.ids])
-        return Pool(tuple(ids), self._packed.take([self._position[rid] for rid in ids]))
+        return Pool(tuple(ids), self._packed.select([self._position[rid] for rid in ids]))
 
     def reveal_val(self, arch_id: str) -> float:
         """The costly step: reveal one architecture's validation accuracy."""

@@ -58,7 +58,7 @@ class CalibrationError(RuntimeError):
     """Weak-label calibration failed to reach the target rank correlation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchGraph:
     """A directed acyclic cell graph with dense node indices 0..n-1."""
 
@@ -66,14 +66,14 @@ class ArchGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Architecture:
     id: str
     cells: tuple[ArchGraph, ...]
     hparams: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkRecord:
     arch: Architecture
     val_acc: float
@@ -103,13 +103,13 @@ class SearchSpace:
         return tuple(self.records.keys())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedCell:
     onehot: np.ndarray      # (n, vocab) float64, one 1 per row
     adjacency: np.ndarray   # (n, n) float64, [src, dst] edges plus self-loops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedArch:
     cells: tuple[EncodedCell, ...]
     hparams: np.ndarray     # (hparam_dim,) float64
@@ -183,6 +183,9 @@ def validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
         raise SpaceValidationError(
             f"{rid}: hparam dimensionality {len(rec.arch.hparams)} != declared {meta.hparam_dim}"
         )
+    for i, h in enumerate(rec.arch.hparams):
+        if not math.isfinite(h):
+            raise SpaceValidationError(f"{rid}: hparams[{i}]={h} is not finite")
     if not rec.arch.cells:
         raise SpaceValidationError(f"{rid}: architecture has no cells")
     vocab = set(meta.vocab)
@@ -223,12 +226,10 @@ def _build_space(meta: SpaceMeta, records: Iterable[BenchmarkRecord]) -> SearchS
 
 
 def load_space(path: str | Path) -> SearchSpace:
-    """Load and validate a line-delimited space file."""
+    """Load and validate a line-delimited space file. Records share one string
+    per op name (the header's) and one tuple per distinct edge pair; edge
+    endpoints and `hparam_dim` must be JSON integers."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SpaceParseError(f"{path}: empty file")
 
     def parse(lineno: int, text: str) -> dict:
         try:
@@ -239,43 +240,50 @@ def load_space(path: str | Path) -> SearchSpace:
             raise SpaceParseError(f"{path}:{lineno}: expected an object")
         return obj
 
-    header = parse(1, lines[0])
-    try:
-        meta = SpaceMeta(
-            name=str(header["name"]),
-            vocab=tuple(str(v) for v in header["vocab"]),
-            hparam_dim=int(header["hparam_dim"]),
-        )
-    except KeyError as e:
-        raise SpaceParseError(f"{path}:1: header missing field {e.args[0]!r}") from e
-
-    def record_from(lineno: int, obj: dict) -> BenchmarkRecord:
+    with path.open("r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise SpaceParseError(f"{path}: empty file")
+        header = parse(1, first)
         try:
-            cells = tuple(
-                ArchGraph(
-                    nodes=tuple(str(op) for op in cell["nodes"]),
-                    edges=tuple((int(s), int(d)) for s, d in cell["edges"]),
-                )
-                for cell in obj["cells"]
-            )
-            arch = Architecture(
-                id=str(obj["id"]),
-                cells=cells,
-                hparams=tuple(float(h) for h in obj["hparams"]),
-            )
-            return BenchmarkRecord(
-                arch=arch,
-                val_acc=float(obj["val_acc"]),
-                test_acc=float(obj["test_acc"]),
-                ws_acc=float(obj["ws_acc"]) if obj.get("ws_acc") is not None else None,
-                flops=float(obj["flops"]),
-                params=float(obj["params"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise SpaceParseError(f"{path}:{lineno}: malformed record ({e})") from e
+            meta = SpaceMeta(name=str(header["name"]), vocab=tuple(str(v) for v in header["vocab"]),
+                             hparam_dim=header["hparam_dim"])
+        except KeyError as e:
+            raise SpaceParseError(f"{path}:1: header missing field {e.args[0]!r}") from e
+        if type(meta.hparam_dim) is not int:
+            raise SpaceParseError(f"{path}:1: hparam_dim {meta.hparam_dim!r} is not an integer")
+        ops = {op: op for op in meta.vocab}
+        pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
-    records = [record_from(i + 2, parse(i + 2, text)) for i, text in enumerate(lines[1:]) if text.strip()]
-    return _build_space(meta, records)
+        def cell_from(cell: dict) -> ArchGraph:
+            edges = []
+            for s, d in cell["edges"]:
+                if type(s) is not int or type(d) is not int:
+                    raise TypeError(f"edge [{s!r}, {d!r}] has a non-integer endpoint")
+                pair = (s, d)
+                edges.append(pairs.setdefault(pair, pair))
+            return ArchGraph(nodes=tuple(ops.get(op) or str(op) for op in cell["nodes"]), edges=tuple(edges))
+
+        def record_from(lineno: int, obj: dict) -> BenchmarkRecord:
+            try:
+                arch = Architecture(
+                    id=str(obj["id"]),
+                    cells=tuple(cell_from(cell) for cell in obj["cells"]),
+                    hparams=tuple(float(h) for h in obj["hparams"]),
+                )
+                return BenchmarkRecord(
+                    arch=arch,
+                    val_acc=float(obj["val_acc"]),
+                    test_acc=float(obj["test_acc"]),
+                    ws_acc=float(obj["ws_acc"]) if obj.get("ws_acc") is not None else None,
+                    flops=float(obj["flops"]),
+                    params=float(obj["params"]),
+                )
+            except (KeyError, TypeError, ValueError) as e:
+                raise SpaceParseError(f"{path}:{lineno}: malformed record ({e})") from e
+
+        records = (record_from(n, parse(n, text)) for n, text in enumerate(fh, start=2) if text.strip())
+        return _build_space(meta, records)
 
 
 def save_space(space: SearchSpace, path: str | Path) -> None:
@@ -431,14 +439,13 @@ class SyntheticLandscape:
             edges = set()
             for v in range(1, n):
                 edges.add((int(rng.integers(0, v)), v))
+            has_successor = {s for s, _ in edges}
             for v in range(n - 1):
-                if not any(s == v for s, _ in edges):
+                if v not in has_successor:
                     edges.add((v, int(rng.integers(v + 1, n))))
-            # sprinkle extra forward edges for variety
-            for s in range(n - 1):
-                for d in range(s + 1, n):
-                    if (s, d) not in edges and rng.random() < 1.0 / n:
-                        edges.add((s, d))
+            # sprinkle extra forward edges for variety: one uniform per free pair
+            free = [(s, d) for s in range(n - 1) for d in range(s + 1, n) if (s, d) not in edges]
+            edges.update(pair for pair, u in zip(free, rng.random(len(free))) if u < 1.0 / n)
             cells.append(ArchGraph(nodes=tuple(nodes), edges=tuple(sorted(edges))))
         hparams = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=self.cfg.hparam_dim))
         return Architecture(id=arch_id, cells=tuple(cells), hparams=hparams)

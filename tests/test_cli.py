@@ -136,6 +136,16 @@ class TestPretrain:
         out.mkdir()
         assert run("pretrain", "--out", out, "--seed", "1", "--space", bare, "--epochs", "1", *SMALL_MODEL) == EXIT_CONFIG
 
+    def test_non_finite_hparams_is_config_error(self, tmp_path, space_dir, capsys):
+        lines = (space_dir / "space.jsonl").read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["hparams"][0] = float("nan")
+        bad = tmp_path / "nan.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        argv = ["pretrain", "--out", tmp_path / "out", "--seed", "1", "--space", bad, "--epochs", "1"]
+        assert run(*argv, *SMALL_MODEL) == EXIT_CONFIG
+        assert f"{obj['id']}: hparams[0]=nan is not finite" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_artifacts_and_budget(self, tmp_path, space_dir, pretrain_dir):

@@ -331,6 +331,35 @@ class TestPacked:
             nn.pack([space.EncodedArch(cells=(blurred,), hparams=tiny_encs[0].hparams)])
 
 
+class TestRowSelection:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(0, 29), min_size=1, max_size=20), st.data())
+    def test_take_of_a_selection_is_take_of_the_composed_positions(self, mixed_encs, n_cells, picks, data):
+        _, encs = mixed_encs[n_cells]
+        packed = nn.pack(encs)
+        part = data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=1, max_size=12))
+        chosen = packed.select(picks)
+        assert len(chosen) == len(picks)
+        assert all(mine is whole for mine, whole in zip(chosen.ops + chosen.prop, packed.ops + packed.prop))
+        for twice in (chosen.take(part), chosen.select(part).take(np.arange(len(part)))):
+            once = packed.take(np.asarray(picks)[part])
+            for a, b in zip((*twice.ops, *twice.prop, twice.nodes, twice.hparams),
+                            (*once.ops, *once.prop, once.nodes, once.hparams)):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("budget", [6, 1024])
+    def test_selection_scores_bitwise_those_of_a_packed_copy(self, mixed_encs, budget):
+        cfg, encs = mixed_encs[2]
+        model = build_model(cfg)
+        picks = [29, 3, 3, 17, 0, 8, 21, 12, 5]
+        with mock.patch.object(nn, "EVAL_ROWS", budget):
+            selected, _ = forward_heads(model, nn.pack(encs).select(picks), HEADS)
+            copied, _ = forward_heads(model, nn.pack([encs[i] for i in picks]), HEADS)
+        for head in HEADS:
+            np.testing.assert_array_equal(selected[head].view(np.int64), copied[head].view(np.int64))
+
+
 class TestDropout:
     def test_reproducible_per_seed(self, tiny_encs):
         m = build_model(TINY)

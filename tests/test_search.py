@@ -2,6 +2,7 @@
 finalize, and the random and ws-greedy baselines."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ class TestSearchView:
         leaked = [attr for attr in vars(view) if "test" in attr]
         assert leaked == []
         assert view.reveal_val(view.ids[0]) == bench.records[view.ids[0]].val_acc
+
+    @pytest.mark.parametrize("budget", [40, 1024])
+    def test_pool_is_a_row_selection_scored_like_a_packed_copy(self, bench, model, budget):
+        view = SearchView(bench)
+        ids = list(view.ids[::-3])
+        pool, other = view.pool(ids), view.pool(view.ids[:7])
+        assert len(pool) == len(pool.batch) == len(ids)
+        for mine, theirs in zip(pool.batch.prop, other.batch.prop):
+            assert np.shares_memory(mine, theirs)
+        with mock.patch.object(nn, "EVAL_ROWS", budget):
+            scores, _ = nn.forward(model, pool.batch)
+            copied, _ = nn.forward(model, nn.pack([view.encoded(rid) for rid in ids]))
+        np.testing.assert_array_equal(scores.view(np.int64), copied.view(np.int64))
 
 
 class TestIterativeSearch:

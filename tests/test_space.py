@@ -1,7 +1,9 @@
 """Space tests: file round trips, graph invariants, synthesis, calibration."""
 
 import json
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,49 @@ class TestLoadSpace:
         path = write_space_file(tmp_path, HEADER, [bad])
         with pytest.raises(SpaceValidationError, match="conv7x7"):
             load_space(path)
+
+    @pytest.mark.parametrize("hparams, where", [("[NaN, 0.5]", "hparams[0]"), ("[0.5, -Infinity]", "hparams[1]")])
+    def test_non_finite_hparam_rejected(self, tmp_path, hparams, where):
+        line = json.dumps(record_obj("nonfinite")).replace("[0.5, -0.5]", hparams)
+        path = write_space_file(tmp_path, HEADER, [record_obj("ok"), line])
+        with pytest.raises(SpaceValidationError, match=re.escape(f"nonfinite: {where}=")):
+            load_space(path)
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [1, 2.0]], [[0, 1], [1, 1.9]], [[False, 1], [1, 2]], [[0, 1], [1, "2"]]])
+    def test_non_integer_edge_endpoint_rejected(self, tmp_path, edges):
+        bad = record_obj("truncated", cells=[{"nodes": ["input", "conv3x3", "output"], "edges": edges}])
+        path = write_space_file(tmp_path, HEADER, [record_obj("ok"), bad])
+        with pytest.raises(SpaceParseError, match=r":3: .*non-integer endpoint"):
+            load_space(path)
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"])
+    def test_non_integer_hparam_dim_rejected(self, tmp_path, dim):
+        path = write_space_file(tmp_path, {**HEADER, "hparam_dim": dim}, [record_obj("ok")])
+        with pytest.raises(SpaceParseError, match=r":1: hparam_dim .* is not an integer"):
+            load_space(path)
+
+    def test_records_share_op_names_and_edge_pairs(self, tmp_path):
+        path = tmp_path / "space.jsonl"
+        save_space(generate_synthetic_space(SynthConfig(size=60, n_cells=2, seed=3)), path)
+        sp = load_space(path)
+        vocab = {op: op for op in sp.meta.vocab}
+        pairs = {}
+        for rec in sp.records.values():
+            for cell in rec.arch.cells:
+                assert all(op is vocab[op] for op in cell.nodes)
+                assert all(pairs.setdefault(e, e) is e for e in cell.edges)
+
+    def test_retained_memory_per_record(self, tmp_path):
+        # the bench's space shape; the parsed records, not the file, stay in memory
+        path = tmp_path / "space.jsonl"
+        cfg = SynthConfig(size=2000, node_range=(5, 11), vocab_size=9, seed=1)
+        save_space(calibrate_weak_labels(generate_synthetic_space(cfg), 0.6, seed=1), path)
+        tracemalloc.start()
+        sp = load_space(path)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(sp) == 2000
+        assert held / len(sp) < 1200
 
     def test_round_trip_identical(self, tmp_path):
         cfg = SynthConfig(size=40, seed=5)
@@ -286,6 +331,25 @@ class TestEncode:
         b = Architecture(id="perm", cells=(ArchGraph(nodes=tuple(nodes_p), edges=edges_p),), hparams=())
         ea = encode_architecture(a, VOCAB)
         eb = encode_architecture(b, VOCAB)
+        p = np.asarray(perm)
+        np.testing.assert_array_equal(ea.cells[0].onehot, eb.cells[0].onehot[p])
+        np.testing.assert_array_equal(ea.cells[0].adjacency, eb.cells[0].adjacency[np.ix_(p, p)])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_cells(1), st.data())
+    def test_relabeling_equivariance_property(self, cells, data):
+        # each node's one-hot row and adjacency entries move with its new index
+        (cell,) = cells
+        n = len(cell.nodes)
+        perm = data.draw(st.permutations(range(n)))  # new index of each old node
+        nodes_p = [None] * n
+        for old, new in enumerate(perm):
+            nodes_p[new] = cell.nodes[old]
+        relabeled = ArchGraph(nodes=tuple(nodes_p), edges=tuple((perm[s], perm[d]) for s, d in cell.edges))
+        validate_graph(cell)
+        validate_graph(relabeled)
+        ea = encode_architecture(Architecture(id="a", cells=cells, hparams=()), VOCAB)
+        eb = encode_architecture(Architecture(id="b", cells=(relabeled,), hparams=()), VOCAB)
         p = np.asarray(perm)
         np.testing.assert_array_equal(ea.cells[0].onehot, eb.cells[0].onehot[p])
         np.testing.assert_array_equal(ea.cells[0].adjacency, eb.cells[0].adjacency[np.ix_(p, p)])

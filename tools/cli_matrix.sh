@@ -11,15 +11,20 @@
 #   synth     5000 records, nodes 5-11, vocabulary 9, tau 0.6
 #   pretrain  1000 weak labels, 1 epoch, the 4x64 model with sort-pool 12;
 #             and the bench's pretrain: 4000 weak labels, 2 epochs
-#   search    full, ranknet, vanilla-mse, random, ws-greedy and full with
-#             --no-pretrain: budget 100 in 5 rounds, top-10, 60 epochs,
-#             patience 15, probe 512
-#   report    over the six search runs
+#   search    full, ranknet, vanilla-mse, random, ws-greedy, full with
+#             --no-pretrain and exploit-only full (--alpha 1, so every pick
+#             after round 1 comes from pool scoring): budget 100 in 5 rounds,
+#             top-10, 60 epochs, patience 15, probe 512
+#   report    over the seven search runs
 #   two cells synth --cells 2 with 800 records, a 1-epoch pretrain on all of
 #             them and a full search, so the multi-cell encoder is covered
+#   wide vocabulary, no hyper-parameters
+#             synth --vocab-size 14 --hparam-dim 0 with 800 records (numbered
+#             ops, a model without hproj), a 1-epoch pretrain on all of them
+#             and a full search
 # Commands run inside OUT_DIR with relative paths, so the paths recorded in
 # run_config.json match between runs. Each command's standard output is
-# appended to OUT_DIR/stdout.txt. About 70 s on a 2-vCPU VM.
+# appended to OUT_DIR/stdout.txt. About 35 s on a 2-vCPU VM.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -56,11 +61,19 @@ for baseline in ranknet vanilla-mse random ws-greedy; do
         --checkpoint pre/checkpoint.json "${search[@]}"
 done
 ltrnas search --out search-no-pretrain --no-pretrain --space space/space.jsonl "${search[@]}"
+ltrnas search --out search-exploit --alpha 1 --space space/space.jsonl --checkpoint pre/checkpoint.json \
+    "${search[@]}"
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
-    search-no-pretrain --out report
+    search-no-pretrain search-exploit --out report
 
 ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
 ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
     --epochs 1 "${model[@]}"
 ltrnas search --out search-two-cells --space space-two-cells/space.jsonl \
     --checkpoint pre-two-cells/checkpoint.json "${search[@]}"
+
+ltrnas synth --out space-wide --seed 6 --size 800 --vocab-size 14 --hparam-dim 0 --nodes-min 5 --nodes-max 11 \
+    --tau 0.6
+ltrnas pretrain --out pre-wide --seed 7 --space space-wide/space.jsonl --sample 800 --lr 0.005 --epochs 1 \
+    "${model[@]}"
+ltrnas search --out search-wide --space space-wide/space.jsonl --checkpoint pre-wide/checkpoint.json "${search[@]}"
