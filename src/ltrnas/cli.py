@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -529,8 +530,26 @@ def _apply_config_file(parser, registry, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap (32 MB) and trim (64 MB) thresholds. Left dynamic, the
+    mmap threshold rises to the largest block freed so far, so whether pool
+    scoring's 0.5-2 MB chunk temporaries are reused from the heap, or mapped,
+    faulted in and unmapped per chunk, would depend on what the process freed
+    before. Other C libraries are left as they are."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    _pin_malloc_thresholds()
     parser, registry = build_parser()
     try:
         args = _apply_config_file(parser, registry, argv)

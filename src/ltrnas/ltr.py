@@ -314,7 +314,7 @@ def _train_epochs(
         for batch in _epoch_batches(len(train_idx), cfg.batch_size, rng):
             lr = nn.cosine_lr(step, total_steps, cfg.lr0)
             scores, ctx = nn.forward_heads(
-                model, packed.take(train_idx[batch]), heads, train_mode=True,
+                model, packed.select(train_idx[batch]), heads, train_mode=True,
                 dropout_seed=int(seed_rng.integers(0, 2**31)),
             )
             loss, upstream = batch_loss(batch, scores)
@@ -344,7 +344,7 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
     train = [records[i] for i in train_idx]
     hold = [records[i] for i in hold_idx]
     packed = nn.pack([r.encoded for r in records])
-    nn.set_hparam_stats(model, [r.encoded for r in train])
+    nn.set_hparam_stats(model, packed.hparams[train_idx])
     normalizer = fit_normalizer(_weak_labels(train))
     labels = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(train).items()}
 
@@ -406,13 +406,12 @@ def finetune(
         rmap = None
         rels_all = np.ones(len(examples))
 
-    if not model.hp_fitted:
-        # Fresh (non-transferred) model: fit hyper-parameter stats here.
-        nn.set_hparam_stats(model, [e.encoded for e in examples])
-
     train_idx, hold_idx = _stratified_holdout(accs)
     train = [examples[i] for i in train_idx]
     packed = nn.pack([e.encoded for e in examples])
+    if not model.hp_fitted:
+        # Fresh (non-transferred) model: fit hyper-parameter stats here.
+        nn.set_hparam_stats(model, packed.hparams)
     hold_batch = packed.take(hold_idx) if len(hold_idx) >= 2 else None
     rels_train = rels_all[train_idx]
     hold_ranked_entries = [(examples[i].arch_id, float(rels_all[i])) for i in hold_idx]

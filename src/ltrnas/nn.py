@@ -9,8 +9,9 @@ two-layer perceptron heads (rank, ws, flops, params) each emit one scalar per
 item.
 
 Batches are packed once per set (`pack`, then `Packed.take`): op indices and
-propagation matrices zero-padded to the largest node count. A row selection
-(`Packed.select`) shares those arrays, so a candidate pool is copied only
+uint8 adjacency zero-padded to the largest node count; `take` copies rows out
+and row-normalizes them into float64 propagation. A row selection
+(`Packed.select`) shares the packed arrays, so a candidate pool is copied only
 chunk by chunk. Train runs the batch dense, with padded rows sorted after
 every real row; so does eval when the batch's padded node rows fit
 `EVAL_ROWS`. A larger eval batch runs in unpadded chunks of at most
@@ -30,6 +31,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, asdict, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -142,17 +144,13 @@ def build_model(cfg: ModelConfig) -> RankingModel:
     )
 
 
-def set_hparam_stats(model: RankingModel, encs: Sequence[EncodedArch]) -> None:
-    """Fit the standardization constants for the hyper-parameter features
-    (population mean/std over the given training encodings)."""
-    if model.config.hparam_dim == 0:
-        model.hp_fitted = True
-        return
-    h = np.stack([e.hparams for e in encs])
-    std = h.std(axis=0)
-    std[std == 0.0] = 1.0
-    model.hp_mean = h.mean(axis=0)
-    model.hp_std = std
+def set_hparam_stats(model: RankingModel, hparams: np.ndarray) -> None:
+    """Fit the standardization constants for the hyper-parameter features:
+    population mean/std over the training rows `hparams` (B, hparam_dim)."""
+    if model.config.hparam_dim > 0:
+        std = hparams.std(axis=0)
+        std[std == 0.0] = 1.0
+        model.hp_mean, model.hp_std = hparams.mean(axis=0), std
     model.hp_fitted = True
 
 
@@ -162,11 +160,12 @@ def set_hparam_stats(model: RankingModel, encs: Sequence[EncodedArch]) -> None:
 
 @dataclass(frozen=True)
 class Packed:
-    """Encoder inputs: per cell, op indices (R, N) and propagation matrices
-    zero-padded to (R, N, N), N the cell's largest node count over the R
-    rows; node counts (B, n_cells); hyper-parameters (B, hparam_dim). Item i
-    sits in row `rows[i]` of the op and propagation arrays, or in row i
-    when `rows` is None."""
+    """Encoder inputs: per cell, op indices (R, N) and propagation (R, N, N)
+    zero-padded to N, the cell's largest node count over the R rows: uint8
+    incoming adjacency in a pack, row-normalized float64 once taken. Node
+    counts (B, n_cells); hyper-parameters (B, hparam_dim). Item i sits in
+    row `rows[i]` of the op and propagation arrays, or in row i when `rows`
+    is None."""
 
     ops: tuple[np.ndarray, ...]
     prop: tuple[np.ndarray, ...]
@@ -179,12 +178,16 @@ class Packed:
         return len(self.nodes)
 
     def take(self, idx) -> "Packed":
-        """The items at positions `idx`, copied and padded to their own largest node counts."""
+        """The items at positions `idx`, copied and padded to their own largest
+        node counts; a pack's adjacency rows are divided by their sums, giving
+        convex combinations for real nodes and +0.0 for padding."""
         nodes = self.nodes[idx]
         top = nodes.max(axis=0)
         rows = idx if self.rows is None else self.rows[idx]
         ops = tuple(o[rows, :m] for o, m in zip(self.ops, top))
         prop = tuple(q[rows, :m, :m] for q, m in zip(self.prop, top))
+        if prop[0].dtype == np.uint8:
+            prop = tuple(a / np.maximum(a.sum(axis=2, keepdims=True), 1) for a in prop)
         return Packed(ops, prop, nodes, self.hparams[idx], self.vocab_size)
 
     def select(self, idx) -> "Packed":
@@ -196,29 +199,32 @@ class Packed:
 
 
 def pack(encs: Sequence[EncodedArch]) -> Packed:
-    """Validate encodings once and pack them. Row v of adj^T selects v's
-    in-neighbors (and v itself, by its self-loop); dividing by the row sum
-    makes each propagated feature a convex combination."""
+    """Validate encodings once and pack them: op indices, and each edge [s, d]
+    and every self-loop scattered into row d of the uint8 incoming adjacency."""
     if not encs:
         raise ValueError("empty batch")
-    if len({(len(e.cells), e.hparams.shape, *(c.onehot.shape[1] for c in e.cells)) for e in encs}) > 1:
+    if len({(len(e.ops), len(e.hparams), e.vocab_size) for e in encs}) > 1:
         raise ValueError("encodings differ in cell count, vocab size or hparam shape")
-    vocab = encs[0].cells[0].onehot.shape[1]
-    nodes = np.array([[len(cell.onehot) for cell in enc.cells] for enc in encs], dtype=np.intp)
-    ops, prop = [], []
+    vocab, b = encs[0].vocab_size, len(encs)
+    nodes = np.array([[len(op) for op in enc.ops] for enc in encs], dtype=np.intp)
+    ops, adj = [], []
     for c, top in enumerate(nodes.max(axis=0)):
-        onehot = np.concatenate([enc.cells[c].onehot for enc in encs])
-        op = onehot.argmax(axis=1)
-        if not np.array_equal(onehot, np.eye(vocab)[op]):
-            raise ValueError(f"cell {c}: node rows are not one-hot")
-        ops.append(np.zeros((len(encs), top), dtype=np.intp))
-        ops[c][np.arange(top) < nodes[:, c, None]] = op
-        prop.append(np.zeros((len(encs), top, top)))
-        for n in np.unique(nodes[:, c]):
-            idx = np.flatnonzero(nodes[:, c] == n)
-            incoming = np.transpose(np.stack([encs[i].cells[c].adjacency for i in idx]), (0, 2, 1))
-            prop[c][idx, :n, :n] = incoming / incoming.sum(axis=2, keepdims=True)
-    return Packed(tuple(ops), tuple(prop), nodes, np.stack([enc.hparams for enc in encs]), vocab)
+        real = np.arange(top) < nodes[:, c, None]
+        op = np.fromiter(chain.from_iterable(enc.ops[c] for enc in encs), np.intp, real.sum())
+        n_edges = np.fromiter((len(enc.edges[c]) for enc in encs), np.intp, b)
+        pairs = chain.from_iterable(chain.from_iterable(enc.edges[c] for enc in encs))
+        src, dst = np.fromiter(pairs, np.intp, 2 * n_edges.sum()).reshape(-1, 2).T
+        item = np.repeat(np.arange(b), n_edges)
+        if np.any((op < 0) | (op >= vocab)):
+            raise ValueError(f"cell {c}: op index out of range for vocab size {vocab}")
+        if np.any((np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= nodes[item, c])):
+            raise ValueError(f"cell {c}: edge endpoint out of range for its node count")
+        ops.append(np.zeros((b, top), dtype=np.intp))
+        ops[c][real] = op
+        adj.append(np.zeros((b, top, top), dtype=np.uint8))
+        adj[c][:, np.arange(top), np.arange(top)] = real
+        adj[c][item, dst, src] = 1
+    return Packed(tuple(ops), tuple(adj), nodes, np.array([enc.hparams for enc in encs], dtype=np.float64), vocab)
 
 
 # ---------------------------------------------------------------------------

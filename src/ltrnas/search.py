@@ -94,11 +94,10 @@ class SearchView:
         return len(self.ids)
 
     def encoded(self, arch_id: str) -> EncodedArch:
-        enc = self._encoded.get(arch_id)
-        if enc is None:
-            enc = encode_architecture(self._arch[arch_id], self.meta.vocab)
-            self._encoded[arch_id] = enc
-        return enc
+        """The compact encoding of `arch_id`, encoded once per view."""
+        if arch_id not in self._encoded:
+            self._encoded[arch_id] = encode_architecture(self._arch[arch_id], self.meta.vocab)
+        return self._encoded[arch_id]
 
     def pool(self, ids: Sequence[str]) -> "Pool":
         """The candidates `ids`, a row selection of the whole space packed on first use."""

@@ -104,15 +104,11 @@ class SearchSpace:
 
 
 @dataclass(frozen=True, slots=True)
-class EncodedCell:
-    onehot: np.ndarray      # (n, vocab) float64, one 1 per row
-    adjacency: np.ndarray   # (n, n) float64, [src, dst] edges plus self-loops
-
-
-@dataclass(frozen=True, slots=True)
 class EncodedArch:
-    cells: tuple[EncodedCell, ...]
-    hparams: np.ndarray     # (hparam_dim,) float64
+    ops: tuple[tuple[int, ...], ...]                # per cell, each node's vocabulary index
+    edges: tuple[tuple[tuple[int, int], ...], ...]  # per cell, its own [src, dst] pairs
+    hparams: tuple[float, ...]
+    vocab_size: int
 
 
 def validate_graph(g: ArchGraph, context: str = "") -> None:
@@ -228,7 +224,8 @@ def _build_space(meta: SpaceMeta, records: Iterable[BenchmarkRecord]) -> SearchS
 def load_space(path: str | Path) -> SearchSpace:
     """Load and validate a line-delimited space file. Records share one string
     per op name (the header's) and one tuple per distinct edge pair; edge
-    endpoints and `hparam_dim` must be JSON integers."""
+    endpoints and `hparam_dim` must be JSON integers, and accuracies, costs
+    and hyper-parameters JSON numbers (not booleans)."""
     path = Path(path)
 
     def parse(lineno: int, text: str) -> dict:
@@ -264,20 +261,25 @@ def load_space(path: str | Path) -> SearchSpace:
                 edges.append(pairs.setdefault(pair, pair))
             return ArchGraph(nodes=tuple(ops.get(op) or str(op) for op in cell["nodes"]), edges=tuple(edges))
 
+        def number(name: str, value) -> float:
+            if type(value) not in (int, float):  # float() would take true as 1.0, "85" as 85.0
+                raise TypeError(f"{name} {json.dumps(value)} is not a JSON number")
+            return float(value)
+
         def record_from(lineno: int, obj: dict) -> BenchmarkRecord:
             try:
                 arch = Architecture(
                     id=str(obj["id"]),
                     cells=tuple(cell_from(cell) for cell in obj["cells"]),
-                    hparams=tuple(float(h) for h in obj["hparams"]),
+                    hparams=tuple(number("hparams", h) for h in obj["hparams"]),
                 )
                 return BenchmarkRecord(
                     arch=arch,
-                    val_acc=float(obj["val_acc"]),
-                    test_acc=float(obj["test_acc"]),
-                    ws_acc=float(obj["ws_acc"]) if obj.get("ws_acc") is not None else None,
-                    flops=float(obj["flops"]),
-                    params=float(obj["params"]),
+                    val_acc=number("val_acc", obj["val_acc"]),
+                    test_acc=number("test_acc", obj["test_acc"]),
+                    ws_acc=number("ws_acc", obj["ws_acc"]) if obj.get("ws_acc") is not None else None,
+                    flops=number("flops", obj["flops"]),
+                    params=number("params", obj["params"]),
                 )
             except (KeyError, TypeError, ValueError) as e:
                 raise SpaceParseError(f"{path}:{lineno}: malformed record ({e})") from e
@@ -320,25 +322,16 @@ def draw_ids(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
 
 
 def encode_architecture(arch: Architecture, vocab: Sequence[str]) -> EncodedArch:
-    """Encode each cell as a node one-hot matrix plus adjacency with self-loops.
-
-    Self-loops are added here (they are not stored in space files); the graph
-    convolution's row normalization relies on them.
-    """
+    """Encode each cell as the vocabulary index of every node's op, sharing
+    the cells' edge tuples and the hyper-parameter tuple. `nn.pack` turns the
+    edges into adjacency, adding the self-loops that the graph convolution's
+    row normalization relies on."""
     index = {op: i for i, op in enumerate(vocab)}
-    cells = []
-    for cell in arch.cells:
-        n = len(cell.nodes)
-        onehot = np.zeros((n, len(vocab)), dtype=np.float64)
-        for row, op in enumerate(cell.nodes):
-            if op not in index:
-                raise SpaceValidationError(f"{arch.id}: op {op!r} not in vocabulary")
-            onehot[row, index[op]] = 1.0
-        adj = np.eye(n, dtype=np.float64)
-        for s, d in cell.edges:
-            adj[s, d] = 1.0
-        cells.append(EncodedCell(onehot=onehot, adjacency=adj))
-    return EncodedArch(cells=tuple(cells), hparams=np.asarray(arch.hparams, dtype=np.float64))
+    try:
+        ops = tuple(tuple(map(index.__getitem__, cell.nodes)) for cell in arch.cells)
+    except KeyError as e:
+        raise SpaceValidationError(f"{arch.id}: op {e.args[0]!r} not in vocabulary") from None
+    return EncodedArch(ops, tuple(cell.edges for cell in arch.cells), arch.hparams, len(vocab))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,16 @@ class TestPretrain:
         assert run(*argv, *SMALL_MODEL) == EXIT_CONFIG
         assert f"{obj['id']}: hparams[0]=nan is not finite" in capsys.readouterr().err
 
+    def test_boolean_accuracy_is_config_error(self, tmp_path, space_dir, capsys):
+        lines = (space_dir / "space.jsonl").read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["val_acc"] = True
+        bad = tmp_path / "bool.jsonl"
+        bad.write_text("\n".join([*lines[:2], json.dumps(obj), *lines[3:]]) + "\n")
+        argv = ["pretrain", "--out", tmp_path / "out", "--seed", "1", "--space", bad, "--epochs", "1"]
+        assert run(*argv, *SMALL_MODEL) == EXIT_CONFIG
+        assert ":3: malformed record (val_acc true is not a JSON number)" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_artifacts_and_budget(self, tmp_path, space_dir, pretrain_dir):

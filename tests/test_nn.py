@@ -164,9 +164,7 @@ class TestForward:
 
     def test_propagation_rows_are_convex_combinations(self, tiny_encs):
         # row weights of the normalized propagation matrix sum to 1
-        enc = tiny_encs[0].cells[0]
-        incoming = enc.adjacency.T
-        prop = incoming / incoming.sum(axis=1, keepdims=True)
+        prop = nn.pack(tiny_encs[:1]).take([0]).prop[0][0]
         np.testing.assert_allclose(prop.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(prop >= 0)
 
@@ -236,7 +234,7 @@ class TestPacked:
     def test_eval_group_runs_in_ceil_rows_over_budget_chunks(self, mixed_encs, budget):
         cfg, encs = mixed_encs[1]
         model = build_model(cfg)
-        group = [enc for enc in encs if len(enc.cells[0].onehot) == 5][:7]
+        group = [enc for enc in encs if len(enc.ops[0]) == 5][:7]
         assert len(group) == 7
         calls, dense = [], nn._dense_forward
         def counted(*args):
@@ -277,7 +275,7 @@ class TestPacked:
         dense = {k: v.copy() for k, v in model.store.grads.items()}
         for g in model.store.grads.values():
             g[...] = 0.0
-        keys = [tuple(len(cell.onehot) for cell in enc.cells) for enc in batch]
+        keys = [tuple(map(len, enc.ops)) for enc in batch]
         assert len(set(keys)) > 2
         for key in sorted(set(keys)):
             idx = [i for i, k in enumerate(keys) if k == key]
@@ -311,7 +309,7 @@ class TestPacked:
     def test_take_trims_padding(self, mixed_encs):
         _, encs = mixed_encs[1]
         packed = nn.pack(encs)
-        small = [i for i, enc in enumerate(encs) if len(enc.cells[0].onehot) <= 4]
+        small = [i for i, enc in enumerate(encs) if len(enc.ops[0]) <= 4]
         part = packed.take(small)
         assert len(part) == len(small)
         assert part.prop[0].shape[1:] == (4, 4)
@@ -324,11 +322,31 @@ class TestPacked:
         with pytest.raises(ValueError, match="empty"):
             nn.pack([])
 
-    def test_rejects_non_one_hot_rows(self, tiny_encs):
-        cell = tiny_encs[0].cells[0]
-        blurred = space.EncodedCell(onehot=cell.onehot * 0.5, adjacency=cell.adjacency)
-        with pytest.raises(ValueError, match="one-hot"):
-            nn.pack([space.EncodedArch(cells=(blurred,), hparams=tiny_encs[0].hparams)])
+    def test_rejects_out_of_range_ops_and_edges(self, tiny_encs):
+        for ops, edges, what in [
+            ((0, 4, 1), ((0, 1), (1, 2)), "op index"), ((0, -1, 1), ((0, 1), (1, 2)), "op index"),
+            ((0, 2, 1), ((0, 1), (1, 3)), "edge endpoint"), ((0, 2, 1), ((-1, 1), (1, 2)), "edge endpoint"),
+        ]:
+            bad = space.EncodedArch(ops=(ops,), edges=(edges,), hparams=(0.0, 0.0), vocab_size=4)
+            with pytest.raises(ValueError, match=f"{what} out of range"):
+                nn.pack([tiny_encs[0], bad])
+
+    @pytest.mark.parametrize("n_cells", [1, 2])
+    def test_take_gives_convex_rows_and_plus_zero_padding(self, mixed_encs, n_cells):
+        # the pack keeps uint8 adjacency; take row-normalizes what it copies, and
+        # a padding row (no self-loop) must come out +0.0, not 0/0
+        _, encs = mixed_encs[n_cells]
+        packed = nn.pack(encs)
+        assert all(q.dtype == np.uint8 for q in packed.prop)
+        picks = np.arange(len(encs))[::-1]
+        for part in (packed.take(picks), packed.select(picks).take(np.arange(len(picks)))):
+            for c, prop in enumerate(part.prop):
+                assert prop.dtype == np.float64
+                real = np.arange(prop.shape[1]) < part.nodes[:, c, None]
+                assert not real.all()
+                np.testing.assert_allclose(prop[real].sum(axis=1), 1.0, atol=1e-12)
+                assert np.all(prop[real] >= 0.0)
+                np.testing.assert_array_equal(prop[~real].view(np.int64), 0)
 
 
 class TestRowSelection:
@@ -592,7 +610,7 @@ class TestCosine:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, tiny_encs):
         m = build_model(TINY)
-        nn.set_hparam_stats(m, tiny_encs)
+        nn.set_hparam_stats(m, nn.pack(tiny_encs).hparams)
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
         loaded = load_checkpoint(path)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltrnas import metrics, space
+from ltrnas import metrics, nn, space
 from ltrnas.space import (
     ArchGraph,
     Architecture,
@@ -127,6 +127,16 @@ class TestLoadSpace:
     def test_non_integer_hparam_dim_rejected(self, tmp_path, dim):
         path = write_space_file(tmp_path, {**HEADER, "hparam_dim": dim}, [record_obj("ok")])
         with pytest.raises(SpaceParseError, match=r":1: hparam_dim .* is not an integer"):
+            load_space(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("val_acc", True), ("test_acc", False), ("ws_acc", True), ("flops", False), ("params", True),
+        ("hparams", [True, 0.5]), ("hparams", [0.5, False]), ("val_acc", "90.0"),
+    ])
+    def test_boolean_number_rejected_with_line(self, tmp_path, field, value):
+        # float() takes true as 1.0 and false as 0.0, so these would load silently
+        path = write_space_file(tmp_path, HEADER, [record_obj("ok"), record_obj("flag", **{field: value})])
+        with pytest.raises(SpaceParseError, match=rf":3: .*{field} .* is not a JSON number"):
             load_space(path)
 
     def test_records_share_op_names_and_edge_pairs(self, tmp_path):
@@ -305,15 +315,24 @@ class TestGraphInvariants:
             validate_graph(g)
 
 
+def _incoming(enc):
+    """The uint8 incoming adjacency (self-loops included) that `nn.pack` builds for one encoding's first cell."""
+    return nn.pack([enc]).prop[0][0]
+
+
 class TestEncode:
     def test_chain_encoding(self):
-        enc = encode_architecture(chain_arch("x"), VOCAB)
-        cell = enc.cells[0]
-        assert cell.onehot.shape == (3, 5)
-        assert np.all(cell.onehot.sum(axis=1) == 1.0)
-        # 2 edges + 3 self-loops
-        assert cell.adjacency.sum() == 5.0
-        assert np.all(np.diag(cell.adjacency) == 1.0)
+        arch = chain_arch("x")
+        enc = encode_architecture(arch, VOCAB)
+        assert enc.ops == ((0, 4, 1),)
+        assert enc.edges[0] is arch.cells[0].edges
+        assert enc.hparams is arch.hparams
+        assert enc.vocab_size == len(VOCAB)
+        # 2 edges + 3 self-loops, each edge in its destination's row
+        adj = _incoming(enc)
+        assert adj.dtype == np.uint8 and adj.sum() == 5
+        assert np.all(np.diag(adj) == 1)
+        assert adj[1, 0] == adj[2, 1] == 1
         np.testing.assert_array_equal(enc.hparams, [0.5, -0.5])
 
     def test_relabeling_equivariance(self):
@@ -332,13 +351,13 @@ class TestEncode:
         ea = encode_architecture(a, VOCAB)
         eb = encode_architecture(b, VOCAB)
         p = np.asarray(perm)
-        np.testing.assert_array_equal(ea.cells[0].onehot, eb.cells[0].onehot[p])
-        np.testing.assert_array_equal(ea.cells[0].adjacency, eb.cells[0].adjacency[np.ix_(p, p)])
+        np.testing.assert_array_equal(ea.ops[0], np.asarray(eb.ops[0])[p])
+        np.testing.assert_array_equal(_incoming(ea), _incoming(eb)[np.ix_(p, p)])
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(_cells(1), st.data())
     def test_relabeling_equivariance_property(self, cells, data):
-        # each node's one-hot row and adjacency entries move with its new index
+        # each node's op index and adjacency entries move with its new index
         (cell,) = cells
         n = len(cell.nodes)
         perm = data.draw(st.permutations(range(n)))  # new index of each old node
@@ -351,8 +370,8 @@ class TestEncode:
         ea = encode_architecture(Architecture(id="a", cells=cells, hparams=()), VOCAB)
         eb = encode_architecture(Architecture(id="b", cells=(relabeled,), hparams=()), VOCAB)
         p = np.asarray(perm)
-        np.testing.assert_array_equal(ea.cells[0].onehot, eb.cells[0].onehot[p])
-        np.testing.assert_array_equal(ea.cells[0].adjacency, eb.cells[0].adjacency[np.ix_(p, p)])
+        np.testing.assert_array_equal(ea.ops[0], np.asarray(eb.ops[0])[p])
+        np.testing.assert_array_equal(_incoming(ea), _incoming(eb)[np.ix_(p, p)])
 
     def test_unknown_label(self):
         with pytest.raises(SpaceValidationError, match="conv7x7"):
@@ -361,7 +380,7 @@ class TestEncode:
     def test_injective_on_distinct_graphs(self):
         e1 = encode_architecture(chain_arch("a", ops=("conv3x3",)), VOCAB)
         e2 = encode_architecture(chain_arch("b", ops=("conv1x1",)), VOCAB)
-        assert not np.array_equal(e1.cells[0].onehot, e2.cells[0].onehot)
+        assert e1.ops != e2.ops
 
 
 class TestSynthetic:
