@@ -219,12 +219,12 @@ def cmd_pretrain(args) -> int:
         raise CliConfigError(f"--sample must be >= 2, got {args.sample}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
-    records = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
+    packed, weak = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
 
-    model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
+    model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
     tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs,
                     lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
-    result = ltr.pretrain(model, records, tcfg)
+    result = ltr.pretrain(model, packed, weak, tcfg)
 
     with _output(out / "checkpoint.json") as tmp:
         nn.save_checkpoint(result.model, tmp)
@@ -291,7 +291,7 @@ def cmd_search(args) -> int:
         loss = {"full": "lambdarank", "vanilla-mse": "mse", "ranknet": "ranknet"}[baseline]
         fresh = args.no_pretrain or baseline == "vanilla-mse"
         if fresh:
-            model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed))
+            model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
         else:
             if not args.checkpoint:
                 raise CliConfigError("--checkpoint is required (or pass --no-pretrain)")
@@ -301,7 +301,10 @@ def cmd_search(args) -> int:
                 model = nn.load_checkpoint(args.checkpoint)
             except (ValueError, KeyError, TypeError) as e:
                 raise CliConfigError(f"checkpoint {args.checkpoint}: {e}") from e
-            if model.config.vocab_size != len(bench.meta.vocab) or model.config.hparam_dim != bench.meta.hparam_dim:
+            if model.vocab != bench.meta.vocab:
+                raise CliConfigError(f"checkpoint was trained on op vocabulary {list(model.vocab)}, "
+                                     f"the space has {list(bench.meta.vocab)}")
+            if model.config.hparam_dim != bench.meta.hparam_dim:
                 raise CliConfigError("checkpoint was trained for a different space shape")
         tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
                         weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
@@ -522,12 +525,31 @@ def _apply_config_file(parser, registry, argv) -> argparse.Namespace:
     if not isinstance(overrides, dict):
         raise CliConfigError(f"{path}: config must be a JSON object")
     sub = registry[args.command]
-    known = {a.dest for a in sub._actions} - {"help"}
-    unknown = sorted(set(overrides) - known)
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    unknown = sorted(set(overrides) - set(actions))
     if unknown:
         raise CliConfigError(f"{path}: unknown config keys {unknown}")
-    sub.set_defaults(**overrides)
+    sub.set_defaults(**{key: _config_value(path, actions[key], value) for key, value in overrides.items()})
     return parser.parse_args(argv)
+
+
+def _config_value(path: Path, action: argparse.Action, value):
+    """A config-file value checked against its flag, since argparse does not
+    type-check defaults: an int flag takes a JSON integer, a float flag a
+    number, a store_true flag a boolean and any other flag a string. A
+    boolean is never a number; null is allowed where the flag defaults to it."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(action, argparse._StoreTrueAction):
+        kind, ok = "a boolean", isinstance(value, bool)
+    elif action.type in (int, float):
+        kind = "an integer" if action.type is int else "a number"
+        ok = isinstance(value, int if action.type is int else (int, float)) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise CliConfigError(f"{path}: config key {action.dest!r} must be {kind}, got {json.dumps(value)}")
+    return action.type(value) if action.type in (int, float) else value
 
 
 def _pin_malloc_thresholds() -> None:

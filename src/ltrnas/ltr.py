@@ -9,8 +9,9 @@ accumulated over all in-list pairs (sigmoid of score differences, optionally
 scaled by the NDCG change of swapping the pair). Both stages run one
 training loop and differ only in the per-batch loss they hand it.
 
-The data views enforce information hygiene: pretraining records carry no
-validation or test accuracy, finetuning examples carry no test accuracy.
+Information hygiene is held by the signatures: architectures reach both
+stages only as a packed batch, `pretrain` receives weak labels and costs
+alone, and `finetune` receives revealed validation accuracy alone.
 """
 
 from __future__ import annotations
@@ -23,51 +24,24 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import metrics, nn
-from .space import EncodedArch, SearchSpace, SpaceValidationError, encode_architecture
+from .space import SearchSpace, SpaceValidationError, encode_architecture
 
 log = logging.getLogger(__name__)
 
 CHANNELS = ("ws", "flops", "params")
 
 
-@dataclass(frozen=True, slots=True)
-class WeakRecord:
-    """Pretraining view of a record: weak label and cost metrics only."""
-
-    arch_id: str
-    encoded: EncodedArch
-    ws_acc: float
-    flops: float
-    params: float
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledExample:
-    """Finetuning view of a record: revealed validation accuracy only."""
-
-    arch_id: str
-    encoded: EncodedArch
-    val_acc: float
-
-
-def weak_view(space: SearchSpace, ids: Sequence[str] | None = None) -> list[WeakRecord]:
-    """Project records onto the pretraining view; errors if any weak label is missing."""
-    chosen = space.ids if ids is None else tuple(ids)
-    out = []
-    for rid in chosen:
-        rec = space.records[rid]
+def weak_view(space: SearchSpace, ids: Sequence[str]) -> tuple[nn.Packed, dict[str, np.ndarray]]:
+    """The pretraining view of `ids`: their pack and, position for position,
+    their weak labels and costs per channel of CHANNELS. No validation or test
+    accuracy is read. Errors if any weak label is missing."""
+    recs = [space.records[rid] for rid in ids]
+    for rec in recs:
         if rec.ws_acc is None:
-            raise SpaceValidationError(f"record {rid!r} has no weak label; calibrate or load ws_acc first")
-        out.append(
-            WeakRecord(
-                arch_id=rid,
-                encoded=encode_architecture(rec.arch, space.meta.vocab),
-                ws_acc=rec.ws_acc,
-                flops=rec.flops,
-                params=rec.params,
-            )
-        )
-    return out
+            raise SpaceValidationError(f"record {rec.arch.id!r} has no weak label; calibrate or load ws_acc first")
+    packed = nn.pack([encode_architecture(rec.arch, space.meta.vocab) for rec in recs])
+    weak = {"ws": [r.ws_acc for r in recs], "flops": [r.flops for r in recs], "params": [r.params for r in recs]}
+    return packed, {ch: np.array(v, dtype=np.float64) for ch, v in weak.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +299,22 @@ def _train_epochs(
         yield CurveRow(epoch=epoch, split="train", loss=float(np.mean(epoch_losses)), lr=lr)
 
 
-def _weak_labels(records: Sequence[WeakRecord]) -> dict[str, list[float]]:
-    return {"ws": [r.ws_acc for r in records], "flops": [r.flops for r in records], "params": [r.params for r in records]}
-
-
-def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainConfig) -> PretrainResult:
+def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarray], cfg: TrainConfig) -> PretrainResult:
     """Train the auxiliary heads (ws/flops/params) with multi-task MSE on
-    normalized labels for cfg.epochs (no early stopping). Returns a trained
-    copy of the model plus held-out R-squared per channel.
+    normalized labels for cfg.epochs (no early stopping). `packed` and
+    `weak` are `weak_view`'s pair. Returns a trained copy of the model plus
+    held-out R-squared per channel.
     """
-    if not records:
-        raise ValueError("no pretraining records")
+    if any(len(weak[ch]) != len(packed) for ch in CHANNELS):
+        raise ValueError(f"{len(packed)} architectures but label lengths {[len(weak[ch]) for ch in CHANNELS]}")
     model = nn.clone_model(model)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E37]))
     seed_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD809]))
 
-    train_idx, hold_idx = _split_holdout(len(records), rng)
-    train = [records[i] for i in train_idx]
-    hold = [records[i] for i in hold_idx]
-    packed = nn.pack([r.encoded for r in records])
+    train_idx, hold_idx = _split_holdout(len(packed), rng)
     nn.set_hparam_stats(model, packed.hparams[train_idx])
-    normalizer = fit_normalizer(_weak_labels(train))
-    labels = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(train).items()}
+    normalizer = fit_normalizer({ch: weak[ch][train_idx] for ch in CHANNELS})
+    labels = {ch: normalizer.normalize(ch, weak[ch][train_idx]) for ch in CHANNELS}
 
     def batch_loss(batch, preds):
         return multitask_mse(preds, {ch: labels[ch][batch] for ch in CHANNELS})
@@ -358,10 +326,9 @@ def pretrain(model: nn.RankingModel, records: Sequence[WeakRecord], cfg: TrainCo
     curve = list(_train_epochs(model, packed, train_idx, CHANNELS, batch_loss, cfg, trainable, rng, seed_rng))
 
     r2 = {ch: float("nan") for ch in CHANNELS}
-    if len(hold) >= 2:
+    if len(hold_idx) >= 2:
         preds, _ = nn.forward_heads(model, packed.take(hold_idx), CHANNELS)
-        targets = {ch: normalizer.normalize(ch, v) for ch, v in _weak_labels(hold).items()}
-        r2 = {ch: r_squared(preds[ch], targets[ch]) for ch in CHANNELS}
+        r2 = {ch: r_squared(preds[ch], normalizer.normalize(ch, weak[ch][hold_idx])) for ch in CHANNELS}
         curve.append(
             CurveRow(epoch=cfg.epochs, split="holdout",
                      r2_ws=r2["ws"], r2_flops=r2["flops"], r2_params=r2["params"])
@@ -377,11 +344,15 @@ def _finetune_param_names(model: nn.RankingModel) -> list[str]:
 
 def finetune(
     model: nn.RankingModel,
-    examples: Sequence[LabeledExample],
+    packed: nn.Packed,
+    ids: Sequence[str],
+    accs: Sequence[float],
     cfg: TrainConfig,
     loss: str = "lambdarank",
 ) -> FinetuneResult:
-    """Listwise training of the rank head (and encoder) on labeled pairs.
+    """Listwise training of the rank head (and encoder) on labeled architectures:
+    `packed` holds them, `ids` and the revealed validation accuracies `accs`
+    name and label them, position for position.
 
     Fits the relevance map on the labeled accuracies, shuffles the labeled
     set into lists of batch_size each epoch, and applies the selected
@@ -391,34 +362,35 @@ def finetune(
     """
     if loss not in ("lambdarank", "ranknet", "mse"):
         raise ValueError(f"unknown finetune loss {loss!r}")
-    if len(examples) < 2:
+    if not len(packed) == len(ids) == len(accs):
+        raise ValueError(f"{len(packed)} architectures, {len(ids)} ids and {len(accs)} accuracies")
+    if len(ids) < 2:
         raise ValueError("finetuning needs at least 2 labeled records")
     model = nn.clone_model(model)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
     seed_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBEEF]))
 
-    accs = np.array([e.val_acc for e in examples])
+    accs = np.array(accs, dtype=np.float64)
     try:
         rmap = metrics.fit_relevance_map(accs)
         rels_all = metrics.map_relevance(rmap, accs)
     except ValueError:
         log.warning("degenerate relevance map (labeled accuracies too concentrated); using uniform relevance")
         rmap = None
-        rels_all = np.ones(len(examples))
+        rels_all = np.ones(len(accs))
 
     train_idx, hold_idx = _stratified_holdout(accs)
-    train = [examples[i] for i in train_idx]
-    packed = nn.pack([e.encoded for e in examples])
+    train_ids = [ids[i] for i in train_idx]
     if not model.hp_fitted:
         # Fresh (non-transferred) model: fit hyper-parameter stats here.
         nn.set_hparam_stats(model, packed.hparams)
     hold_batch = packed.take(hold_idx) if len(hold_idx) >= 2 else None
     rels_train = rels_all[train_idx]
-    hold_ranked_entries = [(examples[i].arch_id, float(rels_all[i])) for i in hold_idx]
+    hold_ranked_entries = [(ids[i], float(rels_all[i])) for i in hold_idx]
 
     if loss == "mse":
-        vals = [e.val_acc for e in train]
-        targets = fit_normalizer({"val": vals}).normalize("val", vals) if np.ptp(vals) > 0 else np.zeros(len(train))
+        vals = accs[train_idx]
+        targets = fit_normalizer({"val": vals}).normalize("val", vals) if np.ptp(vals) > 0 else np.zeros(len(vals))
 
     def batch_loss(batch, scores):
         s = scores["rank"]
@@ -427,7 +399,7 @@ def finetune(
         else:
             rels = rels_train[batch]
             if loss == "lambdarank":
-                coeffs = lambdarank_lambdas(s, rels, cfg.sigma, ids=[train[i].arch_id for i in batch])
+                coeffs = lambdarank_lambdas(s, rels, cfg.sigma, ids=[train_ids[i] for i in batch])
             else:
                 coeffs = ranknet_lambdas(s, rels, cfg.sigma)
             value = _pairwise_logistic_loss(s, rels, cfg.sigma)

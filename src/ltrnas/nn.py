@@ -8,11 +8,11 @@ projection of the standardized hyper-parameters, and four independent
 two-layer perceptron heads (rank, ws, flops, params) each emit one scalar per
 item.
 
-Batches are packed once per set (`pack`, then `Packed.take`): op indices and
-uint8 adjacency zero-padded to the largest node count; `take` copies rows out
-and row-normalizes them into float64 propagation. A row selection
-(`Packed.select`) shares the packed arrays, so a candidate pool is copied only
-chunk by chunk. Train runs the batch dense, with padded rows sorted after
+The encoder reads encodings only as packed batches, packed once per set
+(`pack`, then `Packed.take`): op indices and uint8 adjacency zero-padded to
+the largest node count; `take` copies rows out and row-normalizes them into
+float64 propagation. A row selection (`Packed.select`) shares the packed
+arrays, so a candidate pool is copied only chunk by chunk. Train runs the batch dense, with padded rows sorted after
 every real row; so does eval when the batch's padded node rows fit
 `EVAL_ROWS`. A larger eval batch runs in unpadded chunks of at most
 `EVAL_ROWS` rows within each node count, and eval keeps no activations, so
@@ -101,6 +101,7 @@ class RankingModel:
     hp_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
     hp_std: np.ndarray = field(default_factory=lambda: np.ones(0))
     hp_fitted: bool = False
+    vocab: tuple[str, ...] = ()      # op names by encoding index; () when not recorded
 
 
 def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -125,11 +126,13 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return specs
 
 
-def build_model(cfg: ModelConfig) -> RankingModel:
+def build_model(cfg: ModelConfig, vocab: Sequence[str] = ()) -> RankingModel:
     """Initialize parameters deterministically from the config seed with
     uniform fan-in scaling: every tensor ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))
     with fan_in taken from its layer (biases included, which also keeps the
-    padded sort-pool rows off the ReLU kink at initialization)."""
+    padded sort-pool rows off the ReLU kink at initialization). `vocab`, the
+    op names the encodings index, is recorded for checkpoints."""
+    vocab = _checked_vocab(vocab, cfg.vocab_size)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1217]))
     params = {}
     for name, shape, fan_in in _param_specs(cfg):
@@ -141,7 +144,17 @@ def build_model(cfg: ModelConfig) -> RankingModel:
         store=ParamStore(params),
         hp_mean=np.zeros(hp_dim),
         hp_std=np.ones(hp_dim),
+        vocab=vocab,
     )
+
+
+def _checked_vocab(vocab: Sequence[str], vocab_size: int) -> tuple[str, ...]:
+    """`vocab` as a tuple: empty, or `vocab_size` distinct strings."""
+    vocab = tuple(vocab)
+    if vocab and (len(vocab) != vocab_size or len(set(vocab)) != len(vocab)
+                  or not all(isinstance(op, str) for op in vocab)):
+        raise ValueError(f"vocabulary {list(vocab)} is not {vocab_size} distinct op names")
+    return vocab
 
 
 def set_hparam_stats(model: RankingModel, hparams: np.ndarray) -> None:
@@ -231,23 +244,12 @@ def pack(encs: Sequence[EncodedArch]) -> Packed:
 # sort-pooling
 # ---------------------------------------------------------------------------
 
-def sort_pool(node_features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort rows descending by the last channel (ties: remaining channels
-    descending, then original row index), keep the top k, zero-pad below.
-
-    Returns (pooled k x c matrix, indices of the selected source rows);
-    gradients route only to the selected rows.
-    """
-    if k <= 0:
-        raise ValueError(f"sort-pool node count must be positive, got {k}")
-    pooled, selected = _sort_pool(np.asarray(node_features, dtype=np.float64)[None], k)
-    return pooled[0], selected[0]
-
-
 def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.ndarray:
     """The (B, min(N, k)) source rows that sort-pooling of (B, N, c) features
-    selects, in the order of `sort_pool`. Rows at or past an item's node
-    count in `nodes` are padding, keyed +inf to sort after every real row.
+    selects: per item, rows descending by the last channel, ties broken by
+    the remaining channels descending, then by row index. Rows at or past an
+    item's node count in `nodes` are padding, keyed +inf to sort after every
+    real row.
 
     A stable argsort on the last channel is already the full order unless
     two rows tie there but differ elsewhere; only items with such a pair are
@@ -269,7 +271,8 @@ def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.nd
 
 def _sort_pool(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pooled rows (B, k, c) and `_sort_order`'s selection; slots past the
-    selection, or taken from padding, are +0.0."""
+    selection, or taken from padding, are +0.0. Gradients route only to the
+    selected rows."""
     selected = _sort_order(h, k, nodes)
     pooled = np.zeros((len(h), k, h.shape[2]))
     pooled[:, : selected.shape[1]] = h[np.arange(len(h))[:, None], selected]
@@ -327,39 +330,38 @@ class ForwardContext:
 
 
 def forward_heads(
-    model: RankingModel, batch: Packed | Sequence[EncodedArch], heads: Sequence[str] = ("rank",),
+    model: RankingModel, batch: Packed, heads: Sequence[str] = ("rank",),
     train_mode: bool = False, dropout_seed: int | None = None,
 ) -> tuple[dict[str, np.ndarray], ForwardContext]:
-    """Score a batch with one encoder pass and the selected heads; a
-    sequence of encodings is packed on entry. Returns per-head score
-    vectors plus, in train mode, the activations backward needs.
+    """Score a packed batch with one encoder pass and the selected heads.
+    Returns per-head score vectors plus, in train mode, the activations
+    backward needs.
     """
     cfg = model.config
     for head in heads:
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
-    packed = batch if isinstance(batch, Packed) else pack(batch)
-    if (len(packed.ops), packed.vocab_size, packed.hparams.shape[1]) != (cfg.n_cells, cfg.vocab_size, cfg.hparam_dim):
-        raise ValueError(f"batch has {len(packed.ops)} cells, vocab size {packed.vocab_size} and hparam dim "
-                         f"{packed.hparams.shape[1]}; the model {cfg.n_cells}, {cfg.vocab_size} and {cfg.hparam_dim}")
+    if (len(batch.ops), batch.vocab_size, batch.hparams.shape[1]) != (cfg.n_cells, cfg.vocab_size, cfg.hparam_dim):
+        raise ValueError(f"batch has {len(batch.ops)} cells, vocab size {batch.vocab_size} and hparam dim "
+                         f"{batch.hparams.shape[1]}; the model {cfg.n_cells}, {cfg.vocab_size} and {cfg.hparam_dim}")
     if train_mode and cfg.dropout > 0.0 and dropout_seed is None:
         raise ValueError("train-mode forward with dropout needs a dropout seed")
     rng = np.random.default_rng(np.random.SeedSequence([0 if dropout_seed is None else dropout_seed, 0xD507]))
 
-    order = np.lexsort(packed.nodes.T[::-1])
-    bounds = [0, *(np.flatnonzero(np.diff(packed.nodes[order], axis=0).any(axis=1)) + 1).tolist(), len(order)]
-    ctx = ForwardContext(tuple(heads), train_mode, len(packed), model.store.version, order, bounds)
+    order = np.lexsort(batch.nodes.T[::-1])
+    bounds = [0, *(np.flatnonzero(np.diff(batch.nodes[order], axis=0).any(axis=1)) + 1).tolist(), len(order)]
+    ctx = ForwardContext(tuple(heads), train_mode, len(batch), model.store.version, order, bounds)
     # Train mode, and an eval batch whose padded rows fit the budget, run as one
     # dense chunk; a larger eval batch runs each node-count group in unpadded
     # chunks of at most EVAL_ROWS rows (at least one item).
-    if train_mode or len(order) * packed.nodes.max(axis=0).sum() <= EVAL_ROWS:
+    if train_mode or len(order) * batch.nodes.max(axis=0).sum() <= EVAL_ROWS:
         chunks = [(0, len(order))]
     else:
         chunks = [(a, min(a + step, hi)) for lo, hi in zip(bounds, bounds[1:])
-                  for step in [max(1, EVAL_ROWS // packed.nodes[order[lo]].sum())] for a in range(lo, hi, step)]
-    scores = {head: np.empty(len(packed)) for head in heads}
+                  for step in [max(1, EVAL_ROWS // batch.nodes[order[lo]].sum())] for a in range(lo, hi, step)]
+    scores = {head: np.empty(len(batch)) for head in heads}
     for lo, hi in chunks:
-        out = _dense_forward(model, packed.take(order[lo:hi]), heads, bounds, rng, ctx if train_mode else None)
+        out = _dense_forward(model, batch.take(order[lo:hi]), heads, bounds, rng, ctx if train_mode else None)
         for head in heads:
             scores[head][order[lo:hi]] = out[head]
     for head, vals in scores.items():
@@ -369,7 +371,7 @@ def forward_heads(
 
 
 def forward(
-    model: RankingModel, batch: Packed | Sequence[EncodedArch], head: str = "rank",
+    model: RankingModel, batch: Packed, head: str = "rank",
     train_mode: bool = False, dropout_seed: int | None = None,
 ) -> tuple[np.ndarray, ForwardContext]:
     """Single-head forward: one scalar per batch item plus saved activations."""
@@ -566,7 +568,8 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "ltrnas-checkpoint"
-CHECKPOINT_VERSION = 1
+# Version 2 records the op vocabulary; version 1 did not.
+CHECKPOINT_VERSION = 2
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -580,7 +583,7 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 
 def checkpoint_bytes(model: RankingModel) -> bytes:
-    """Serialize config + parameters + hparam stats; bit-exact round trip."""
+    """Serialize config + parameters + hparam stats + op vocabulary; bit-exact round trip."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -589,6 +592,7 @@ def checkpoint_bytes(model: RankingModel) -> bytes:
         "hp_std": _encode_array(model.hp_std),
         "hp_fitted": model.hp_fitted,
         "params": {name: _encode_array(v) for name, v in model.store.params.items()},
+        "vocab": list(model.vocab),
     }
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
@@ -601,6 +605,8 @@ def load_checkpoint(path: str | Path) -> RankingModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a ranking-model checkpoint")
+    if doc.get("version") == 1:
+        raise ValueError(f"{path}: checkpoint version 1 predates the recorded op vocabulary; re-run pretrain")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     raw = dict(doc["config"])
@@ -617,7 +623,8 @@ def load_checkpoint(path: str | Path) -> RankingModel:
             raise ValueError(f"{path}: {name} has shape {value.shape}, the config needs {shapes[name]}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: {name} has non-finite values")
-    return RankingModel(config=cfg, store=ParamStore(params), hp_fitted=bool(doc["hp_fitted"]), **stats)
+    vocab = _checked_vocab(doc["vocab"], cfg.vocab_size)
+    return RankingModel(config=cfg, store=ParamStore(params), hp_fitted=bool(doc["hp_fitted"]), vocab=vocab, **stats)
 
 
 def clone_model(model: RankingModel) -> RankingModel:
@@ -628,4 +635,5 @@ def clone_model(model: RankingModel) -> RankingModel:
         hp_mean=model.hp_mean.copy(),
         hp_std=model.hp_std.copy(),
         hp_fitted=model.hp_fitted,
+        vocab=model.vocab,
     )

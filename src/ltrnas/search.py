@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ltr, metrics, nn
-from .space import Architecture, EncodedArch, SearchSpace, SpaceValidationError, draw_ids, encode_architecture
+from .space import Architecture, SearchSpace, SpaceValidationError, draw_ids, encode_architecture
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,16 @@ class SearchView:
         self.ids: tuple[str, ...] = space.ids
         self._arch = {rid: rec.arch for rid, rec in space.records.items()}
         self._val = {rid: rec.val_acc for rid, rec in space.records.items()}
-        self._encoded: dict[str, EncodedArch] = {}
         self._packed: nn.Packed | None = None
         self._position = {rid: i for i, rid in enumerate(self.ids)}
 
     def __len__(self):
         return len(self.ids)
 
-    def encoded(self, arch_id: str) -> EncodedArch:
-        """The compact encoding of `arch_id`, encoded once per view."""
-        if arch_id not in self._encoded:
-            self._encoded[arch_id] = encode_architecture(self._arch[arch_id], self.meta.vocab)
-        return self._encoded[arch_id]
-
     def pool(self, ids: Sequence[str]) -> "Pool":
         """The candidates `ids`, a row selection of the whole space packed on first use."""
         if self._packed is None:
-            self._packed = nn.pack([self.encoded(rid) for rid in self.ids])
+            self._packed = nn.pack([encode_architecture(self._arch[rid], self.meta.vocab) for rid in self.ids])
         return Pool(tuple(ids), self._packed.select([self._position[rid] for rid in ids]))
 
     def reveal_val(self, arch_id: str) -> float:
@@ -199,7 +192,8 @@ def iterative_search(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EA6]))
     trace = SearchTrace(config=cfg)
     unlabeled = list(view.ids)
-    examples: list[ltr.LabeledExample] = []
+    labeled: list[str] = []
+    accs: list[float] = []
     current = model
     best_val = -np.inf
     n_exploit = 0 if model is None else int(cfg.exploit_fraction * cfg.per_round)
@@ -216,17 +210,16 @@ def iterative_search(
         for rid, origin in picks:
             val = view.reveal_val(rid)
             trace.entries.append(TraceEntry(round=rnd, arch_id=rid, origin=origin, val_acc=val))
-            if model is not None:
-                examples.append(ltr.LabeledExample(arch_id=rid, encoded=view.encoded(rid), val_acc=val))
+            labeled.append(rid)
+            accs.append(val)
             best_val = max(best_val, val)
         taken = {rid for rid, _ in picks}
         unlabeled = [rid for rid in unlabeled if rid not in taken]
 
         ndcg_val = tau_val = None
         if model is not None:
-            result = ltr.finetune(
-                model, examples, replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss
-            )
+            result = ltr.finetune(model, view.pool(labeled).batch, labeled, accs,
+                                  replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss)
             current = result.model
             ndcg_val, tau_val = _snapshot(current, probe, result.relevance_map)
         trace.round_metrics.append(

@@ -91,7 +91,7 @@ def test_criterion_03_gradient_integrity():
         scfg = space.SynthConfig(size=6, node_range=(3, 6), vocab_size=4,
                                  hparam_dim=cfg.hparam_dim, seed=cfg.seed)
         sp = space.generate_synthetic_space(scfg)
-        batch = [space.encode_architecture(r.arch, sp.meta.vocab) for r in list(sp.records.values())[:3]]
+        batch = nn.pack([space.encode_architecture(r.arch, sp.meta.vocab) for r in list(sp.records.values())[:3]])
         model = nn.build_model(cfg)
         total_params += sum(v.size for v in model.store.params.values())
         rng = np.random.default_rng(cfg.seed + 7)
@@ -218,7 +218,7 @@ def experiment():
     pre_ids = [sp.ids[i] for i in sorted(rng.choice(len(sp), 4000, replace=False))]
     pre = ltr.pretrain(
         nn.build_model(model_cfg),
-        ltr.weak_view(sp, pre_ids),
+        *ltr.weak_view(sp, pre_ids),
         ltr.TrainConfig(epochs=40, lr0=0.005, weight_decay=1e-5, seed=55),
     )
 
@@ -377,7 +377,7 @@ def test_criterion_10_benchmark_file_optional():
     rng = np.random.default_rng(55)
     pre_ids = [bench.ids[i] for i in sorted(rng.choice(len(bench), min(4000, len(bench)), replace=False))]
     pre = ltr.pretrain(
-        nn.build_model(model_cfg), ltr.weak_view(bench, pre_ids),
+        nn.build_model(model_cfg), *ltr.weak_view(bench, pre_ids),
         ltr.TrainConfig(epochs=40, lr0=0.005, weight_decay=1e-5, seed=55),
     )
     finals = []

@@ -252,6 +252,30 @@ class TestSearch:
         argv[argv.index("--checkpoint") + 1] = bad
         assert run(*argv) == EXIT_CONFIG
 
+    def test_permuted_vocabulary_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
+        # same ops and vocabulary size, another order: the checkpoint's op
+        # indices would name other ops, so the search refuses it
+        header, *records = (space_dir / "space.jsonl").read_text().splitlines(keepends=True)
+        meta = json.loads(header)
+        meta["vocab"] = meta["vocab"][::-1]
+        permuted = tmp_path / "permuted.jsonl"
+        permuted.write_text(json.dumps(meta) + "\n" + "".join(records))
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "permuted")
+        argv[argv.index("--space") + 1] = permuted
+        assert run(*argv) == EXIT_CONFIG
+        assert "op vocabulary" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
+        doc = json.loads((pretrain_dir / "checkpoint.json").read_text())
+        del doc["vocab"]
+        doc["version"] = 1
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "v1")
+        argv[argv.index("--checkpoint") + 1] = old
+        assert run(*argv) == EXIT_CONFIG
+        assert "re-run pretrain" in capsys.readouterr().err
+
     def test_zero_rounds_is_config_error(self, tmp_path, space_dir, pretrain_dir):
         argv = search_args(space_dir, pretrain_dir, tmp_path / "zero")
         argv[argv.index("--rounds") + 1] = "0"
@@ -392,6 +416,34 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sizes": 30}))
         assert run("synth", "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("pretrain", "epochs", 1.5),
+        ("synth", "size", 300.0),
+        ("search", "budget", True),
+        ("synth", "tau", True),
+        ("synth", "tau", "0.5"),
+        ("synth", "name", 3),
+        ("search", "no_pretrain", 1),
+        ("synth", "size", None),
+        ("search", "probe_size", [512]),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(command, "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(key) in err
+
+    def test_config_values_as_their_flags_parse_them(self, tmp_path):
+        # a JSON integer is a number; null stands where the flag defaults to it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"size": 30, "tau": 1, "name": "typed", "out": None}))
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--seed", "1", "--config", cfg) == EXIT_OK
+        run_cfg = json.loads((out / "run_config.json").read_text())
+        assert (run_cfg["size"], run_cfg["tau"], run_cfg["name"]) == (30, 1.0, "typed")
+        assert isinstance(run_cfg["tau"], float)
 
     def test_help_is_not_a_config_key(self, tmp_path):
         # every accepted key lands in run_config.json; argparse's help is not a setting

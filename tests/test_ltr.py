@@ -7,11 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ltrnas import ltr, metrics, nn, space
+from ltrnas import ltr, metrics, nn, search, space
 from ltrnas.ltr import (
-    LabeledExample,
     TrainConfig,
-    WeakRecord,
     finetune,
     fit_normalizer,
     lambdarank_lambdas,
@@ -41,11 +39,9 @@ def weak_space():
 
 
 def labeled(records, vocab):
-    """Finetuning examples for `records`, as the search builds them on reveal."""
-    return [
-        LabeledExample(arch_id=r.arch.id, encoded=space.encode_architecture(r.arch, vocab), val_acc=r.val_acc)
-        for r in records
-    ]
+    """`finetune`'s pack, ids and revealed accuracies for `records`."""
+    packed = nn.pack([space.encode_architecture(r.arch, vocab) for r in records])
+    return packed, [r.arch.id for r in records], [r.val_acc for r in records]
 
 
 def brute_force_lambdarank(scores, rels, sigma, ids):
@@ -269,67 +265,70 @@ class TestLambdarankLambdas:
 
 class TestViews:
     def test_weak_view_hygiene(self, weak_space):
-        recs = weak_view(weak_space, weak_space.ids[:3])
-        assert not hasattr(recs[0], "val_acc")
-        assert not hasattr(recs[0], "test_acc")
+        # pretraining sees a pack plus weak labels and costs, never an accuracy
+        ids = weak_space.ids[:3]
+        packed, weak = weak_view(weak_space, ids)
+        assert {f.name for f in dataclasses.fields(nn.Packed)} == {"ops", "prop", "nodes", "hparams", "vocab_size", "rows"}
+        assert set(weak) == set(ltr.CHANNELS)
+        recs = [weak_space.records[r] for r in ids]
+        np.testing.assert_array_equal(weak["ws"], [r.ws_acc for r in recs])
+        np.testing.assert_array_equal(weak["flops"], [r.flops for r in recs])
+        np.testing.assert_array_equal(weak["params"], [r.params for r in recs])
+        assert len(packed) == 3
 
     def test_labeled_view_hygiene(self):
-        # finetuning examples carry the revealed validation accuracy and nothing else
-        assert {f.name for f in dataclasses.fields(LabeledExample)} == {"arch_id", "encoded", "val_acc"}
+        # finetuning receives the labeled architectures, their ids and revealed
+        # validation accuracy, and nothing else
+        assert list(inspect.signature(finetune).parameters) == ["model", "packed", "ids", "accs", "cfg", "loss"]
 
     def test_weak_view_requires_labels(self):
         sp = space.generate_synthetic_space(space.SynthConfig(size=10, seed=1))
         with pytest.raises(ValueError, match="weak label"):
-            weak_view(sp)
+            weak_view(sp, sp.ids)
 
 
 class TestPretrain:
     def test_deterministic_checkpoints(self, weak_space):
-        records = weak_view(weak_space, weak_space.ids[:60])
+        packed, weak = weak_view(weak_space, weak_space.ids[:60])
         cfg = TrainConfig(epochs=2, lr0=0.001, weight_decay=1e-5, seed=11)
-        m1 = pretrain(nn.build_model(MODEL_CFG), records, cfg).model
-        m2 = pretrain(nn.build_model(MODEL_CFG), records, cfg).model
+        m1 = pretrain(nn.build_model(MODEL_CFG), packed, weak, cfg).model
+        m2 = pretrain(nn.build_model(MODEL_CFG), packed, weak, cfg).model
         assert nn.checkpoint_bytes(m1) == nn.checkpoint_bytes(m2)
 
     def test_loss_decreases_on_learnable_space(self, weak_space):
-        records = weak_view(weak_space, weak_space.ids[:10])
+        packed, weak = weak_view(weak_space, weak_space.ids[:10])
         model = nn.build_model(MODEL_CFG)
         cfg = TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=11)
-        norm = fit_normalizer(
-            {"ws": [r.ws_acc for r in records], "flops": [r.flops for r in records], "params": [r.params for r in records]}
-        )
-        labels = {
-            "ws": norm.normalize("ws", [r.ws_acc for r in records]),
-            "flops": norm.normalize("flops", [r.flops for r in records]),
-            "params": norm.normalize("params", [r.params for r in records]),
-        }
+        norm = fit_normalizer(weak)
+        labels = {ch: norm.normalize(ch, v) for ch, v in weak.items()}
 
         def eval_loss(m):
-            preds, _ = nn.forward_heads(m, [r.encoded for r in records], ltr.CHANNELS)
+            preds, _ = nn.forward_heads(m, packed, ltr.CHANNELS)
             return multitask_mse(preds, labels)[0]
 
         before = eval_loss(model)
-        after = eval_loss(pretrain(model, records, cfg).model)
+        after = eval_loss(pretrain(model, packed, weak, cfg).model)
         assert after < before
 
     def test_input_model_untouched(self, weak_space):
-        records = weak_view(weak_space, weak_space.ids[:20])
         model = nn.build_model(MODEL_CFG)
         frozen = nn.checkpoint_bytes(model)
-        pretrain(model, records, TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=1))
+        pretrain(model, *weak_view(weak_space, weak_space.ids[:20]),
+                 TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=1))
         assert nn.checkpoint_bytes(model) == frozen
 
     def test_high_fidelity_labels_reach_high_r2(self):
         # tau = 1.0 weak labels: the ws head should explain most of the variance
         cfg = space.SynthConfig(size=1200, node_range=(5, 7), vocab_size=6, seed=21)
         sp = space.calibrate_weak_labels(space.generate_synthetic_space(cfg), 1.0, seed=2)
-        records = weak_view(sp)
+        packed, weak = weak_view(sp, sp.ids)
         mcfg = nn.ModelConfig(
             vocab_size=len(sp.meta.vocab), hparam_dim=sp.meta.hparam_dim,
             conv_channels=(48,) * 4, sortpool_nodes=8, conv1d_channels=12,
             hparam_proj=8, head_hidden=48, dropout=0.1, seed=5,
         )
-        result = pretrain(nn.build_model(mcfg), records, TrainConfig(epochs=50, lr0=0.005, weight_decay=1e-5, seed=9))
+        result = pretrain(nn.build_model(mcfg), packed, weak,
+                          TrainConfig(epochs=50, lr0=0.005, weight_decay=1e-5, seed=9))
         assert result.r2["ws"] >= 0.9
         assert result.r2["flops"] > 0.98
         assert result.r2["params"] > 0.98
@@ -340,22 +339,42 @@ class TestFinetune:
         ids = list(weak_space.ids)
         recs = sorted(weak_space.records.values(), key=lambda r: r.val_acc)
         pair = [recs[10], recs[-10]]
-        examples = labeled(pair, weak_space.meta.vocab)
-        result = finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=60, seed=3))
-        scores, _ = nn.forward(result.model, [e.encoded for e in examples], "rank")
+        packed, pair_ids, accs = labeled(pair, weak_space.meta.vocab)
+        result = finetune(nn.build_model(MODEL_CFG), packed, pair_ids, accs, TrainConfig(epochs=60, seed=3))
+        scores, _ = nn.forward(result.model, packed, "rank")
         assert scores[1] > scores[0]
 
     def test_needs_two_records(self, weak_space):
         examples = labeled([next(iter(weak_space.records.values()))], weak_space.meta.vocab)
         with pytest.raises(ValueError):
-            finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=1, seed=0))
+            finetune(nn.build_model(MODEL_CFG), *examples, TrainConfig(epochs=1, seed=0))
+
+    def test_lengths_must_match(self, weak_space):
+        packed, ids, accs = labeled([weak_space.records[r] for r in weak_space.ids[:4]], weak_space.meta.vocab)
+        for args in [(packed, ids[:3], accs), (packed, ids, accs[:3]), (packed.select([0, 1, 2]), ids, accs)]:
+            with pytest.raises(ValueError, match="architectures"):
+                finetune(nn.build_model(MODEL_CFG), *args, TrainConfig(epochs=1, seed=0))
+
+    def test_row_selection_trains_like_a_fresh_pack(self, weak_space):
+        # a search finetunes on rows of the space-wide pack; those must train
+        # bit for bit like a pack of just the labeled encodings
+        view = search.SearchView(weak_space)
+        picked = list(weak_space.ids[5:45:2])
+        accs = [view.reveal_val(r) for r in picked]
+        fresh = nn.pack([space.encode_architecture(weak_space.records[r].arch, weak_space.meta.vocab) for r in picked])
+        cfg = TrainConfig(epochs=4, early_stop_patience=None, seed=6)
+        for loss in ("lambdarank", "mse"):
+            selected = finetune(nn.build_model(MODEL_CFG), view.pool(picked).batch, picked, accs, cfg, loss).model
+            packed = finetune(nn.build_model(MODEL_CFG), fresh, picked, accs, cfg, loss).model
+            assert nn.checkpoint_bytes(selected) == nn.checkpoint_bytes(packed)
 
     def test_improves_over_untrained_median(self, weak_space):
         # median over 10 seeds of held-out NDCG: finetuned beats untrained
         rng = np.random.default_rng(12)
         ids = list(weak_space.ids)
         eval_ids = ids[200:]
-        eval_encs = [space.encode_architecture(weak_space.records[r].arch, weak_space.meta.vocab) for r in eval_ids]
+        eval_encs = nn.pack([space.encode_architecture(weak_space.records[r].arch, weak_space.meta.vocab)
+                             for r in eval_ids])
         eval_vals = np.array([weak_space.records[r].val_acc for r in eval_ids])
 
         def probe_ndcg(model, rmap):
@@ -368,7 +387,7 @@ class TestFinetune:
             pick = rng.choice(200, size=100, replace=False)
             examples = labeled([weak_space.records[ids[i]] for i in pick], weak_space.meta.vocab)
             model = nn.build_model(nn.ModelConfig(**{**MODEL_CFG.__dict__, "seed": seed}))
-            result = finetune(model, examples, TrainConfig(epochs=40, early_stop_patience=10, seed=seed))
+            result = finetune(model, *examples, TrainConfig(epochs=40, early_stop_patience=10, seed=seed))
             rmap = result.relevance_map
             trained.append(probe_ndcg(result.model, rmap))
             untrained.append(probe_ndcg(model, rmap))
@@ -380,7 +399,7 @@ class TestFinetune:
         records = [weak_space.records[r] for r in weak_space.ids[:12]]
         examples = labeled(records, weak_space.meta.vocab)
         cfg = TrainConfig(epochs=300, early_stop_patience=50, seed=3)
-        result = finetune(nn.build_model(MODEL_CFG), examples, cfg)
+        result = finetune(nn.build_model(MODEL_CFG), *examples, cfg)
         assert result.stopped_epoch < cfg.epochs
 
     def test_degenerate_relevance_falls_back_to_uniform(self, weak_space, caplog):
@@ -389,7 +408,7 @@ class TestFinetune:
                                       ws_acc=r.ws_acc, flops=r.flops, params=r.params) for r in recs]
         examples = labeled(flat, weak_space.meta.vocab)
         with caplog.at_level("WARNING"):
-            result = finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=2, seed=0))
+            result = finetune(nn.build_model(MODEL_CFG), *examples, TrainConfig(epochs=2, seed=0))
         assert result.relevance_map is None
         assert "degenerate relevance" in caplog.text
 
@@ -397,7 +416,7 @@ class TestFinetune:
         records = [weak_space.records[r] for r in weak_space.ids[:20]]
         examples = labeled(records, weak_space.meta.vocab)
         model = nn.build_model(MODEL_CFG)
-        result = finetune(model, examples, TrainConfig(epochs=3, seed=3))
+        result = finetune(model, *examples, TrainConfig(epochs=3, seed=3))
         for name in model.store.names():
             if name.startswith(("head_ws", "head_flops", "head_params")):
                 np.testing.assert_array_equal(result.model.store.params[name], model.store.params[name])
@@ -407,8 +426,8 @@ class TestFinetune:
         records = [weak_space.records[r] for r in weak_space.ids[:30]]
         examples = labeled(records, weak_space.meta.vocab)
         cfg = TrainConfig(epochs=4, seed=9)
-        m1 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model
-        m2 = finetune(nn.build_model(MODEL_CFG), examples, cfg).model
+        m1 = finetune(nn.build_model(MODEL_CFG), *examples, cfg).model
+        m2 = finetune(nn.build_model(MODEL_CFG), *examples, cfg).model
         assert nn.checkpoint_bytes(m1) == nn.checkpoint_bytes(m2)
 
 
@@ -440,8 +459,8 @@ class TestTrainStepCalls:
 
     def test_pretrain_one_call_per_batch(self, weak_space, monkeypatch):
         calls = count_train_calls(monkeypatch)
-        records = weak_view(weak_space, weak_space.ids[:60])  # 6 held out, 54 in batches of 20, 20, 14
-        pretrain(nn.build_model(MODEL_CFG), records, TrainConfig(epochs=2, seed=11))
+        pretrain(nn.build_model(MODEL_CFG), *weak_view(weak_space, weak_space.ids[:60]),  # 6 held out, 54 in
+                 TrainConfig(epochs=2, seed=11))                                           # batches of 20, 20, 14
         assert calls == {"train_forward": 6, "eval_forward": 1, "backward": 6, "adam_step": 6,
                          "lambdarank_lambdas": 0}
 
@@ -450,6 +469,6 @@ class TestTrainStepCalls:
         calls = count_train_calls(monkeypatch)
         examples = labeled([weak_space.records[r] for r in weak_space.ids[:30]], weak_space.meta.vocab)
         # 3 held out, 27 in batches of 20 and 7; one holdout eval per epoch
-        finetune(nn.build_model(MODEL_CFG), examples, TrainConfig(epochs=3, early_stop_patience=None, seed=4), loss)
+        finetune(nn.build_model(MODEL_CFG), *examples, TrainConfig(epochs=3, early_stop_patience=None, seed=4), loss)
         assert calls == {"train_forward": 6, "eval_forward": 3, "backward": 6, "adam_step": 6,
                          "lambdarank_lambdas": 6 if loss == "lambdarank" else 0}

@@ -27,7 +27,6 @@ from ltrnas.nn import (
     forward_heads,
     load_checkpoint,
     save_checkpoint,
-    sort_pool,
 )
 
 TINY = ModelConfig(
@@ -99,6 +98,11 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=4, hparam_dim=0, dropout=1.0)
 
+    @pytest.mark.parametrize("field", ["sortpool_nodes", "conv1d_channels", "head_hidden"])
+    def test_invalid_layer_size(self, field):
+        with pytest.raises(ValueError, match="layer sizes"):
+            ModelConfig(vocab_size=4, hparam_dim=0, **{field: 0})
+
     def test_param_count_pure_function_of_config(self):
         a = build_model(TINY).store.params
         b = build_model(ModelConfig(**{**TINY.__dict__, "seed": 99})).store.params
@@ -113,20 +117,20 @@ class TestBuildModel:
 class TestForward:
     def test_batch_independence_bitwise(self, tiny_encs):
         m = build_model(TINY)
-        batch, _ = forward(m, tiny_encs[:20], "rank")
-        solo, _ = forward(m, [tiny_encs[13]], "rank")
+        batch, _ = forward(m, nn.pack(tiny_encs[:20]), "rank")
+        solo, _ = forward(m, nn.pack([tiny_encs[13]]), "rank")
         assert solo[0] == batch[13]
 
     def test_batch_independence_bitwise_two_cells(self, two_cell_encs):
         m = build_model(TINY_TWO_CELLS)
-        batch, _ = forward(m, two_cell_encs[:20], "rank")
-        solo = np.array([forward(m, [enc], "rank")[0][0] for enc in two_cell_encs[:20]])
+        batch, _ = forward(m, nn.pack(two_cell_encs[:20]), "rank")
+        solo = np.array([forward(m, nn.pack([enc]), "rank")[0][0] for enc in two_cell_encs[:20]])
         np.testing.assert_array_equal(solo.view(np.int64), batch.view(np.int64))
 
     def test_eval_deterministic(self, tiny_encs):
         m = build_model(TINY)
-        s1, _ = forward(m, tiny_encs[:8], "rank")
-        s2, _ = forward(m, tiny_encs[:8], "rank")
+        s1, _ = forward(m, nn.pack(tiny_encs[:8]), "rank")
+        s2, _ = forward(m, nn.pack(tiny_encs[:8]), "rank")
         np.testing.assert_array_equal(s1, s2)
 
     def test_zero_weight_model_scores_output_bias(self, tiny_encs):
@@ -134,7 +138,7 @@ class TestForward:
         for name in m.store.names():
             m.store.params[name][...] = 0.0
         m.store.params["head_rank.b2"][...] = 1.75
-        s, _ = forward(m, tiny_encs[:6], "rank")
+        s, _ = forward(m, nn.pack(tiny_encs[:6]), "rank")
         np.testing.assert_allclose(s, 1.75)
 
     def test_isomorphic_node_orders_score_equal(self):
@@ -158,8 +162,8 @@ class TestForward:
         cfg = ModelConfig(vocab_size=5, hparam_dim=2, conv_channels=(6, 6), sortpool_nodes=4,
                           conv1d_channels=3, hparam_proj=3, head_hidden=5, seed=3)
         m = build_model(cfg)
-        sa, _ = forward(m, [space.encode_architecture(a, vocab)], "rank")
-        sb, _ = forward(m, [space.encode_architecture(b, vocab)], "rank")
+        sa, _ = forward(m, nn.pack([space.encode_architecture(a, vocab)]), "rank")
+        sb, _ = forward(m, nn.pack([space.encode_architecture(b, vocab)]), "rank")
         assert sa[0] == pytest.approx(sb[0], abs=1e-12)
 
     def test_propagation_rows_are_convex_combinations(self, tiny_encs):
@@ -171,17 +175,17 @@ class TestForward:
     def test_dimension_mismatch_rejected(self, tiny_encs, wide_encs):
         m = build_model(TINY)
         with pytest.raises(ValueError, match="vocab"):
-            forward(m, [wide_encs[0]], "rank")
+            forward(m, nn.pack([wide_encs[0]]), "rank")
 
     def test_unknown_head(self, tiny_encs):
         m = build_model(TINY)
         with pytest.raises(ValueError, match="head"):
-            forward(m, tiny_encs[:2], "accuracy")
+            forward(m, nn.pack(tiny_encs[:2]), "accuracy")
 
     def test_train_mode_needs_seed(self, tiny_encs):
         m = build_model(TINY)
         with pytest.raises(ValueError, match="seed"):
-            forward(m, tiny_encs[:2], "rank", train_mode=True)
+            forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True)
 
 
 class TestPacked:
@@ -196,10 +200,10 @@ class TestPacked:
         model.store.params["nodeconv.bias"][0] = 0.3  # empty pooled slots pass the ReLU
         batch = [encs[i] for i in picks]
         packed = nn.pack(encs).take(picks)
-        runs = [forward_heads(model, batch, HEADS)[0], forward_heads(model, packed, HEADS)[0],
+        runs = [forward_heads(model, nn.pack(batch), HEADS)[0], forward_heads(model, packed, HEADS)[0],
                 forward_heads(model, packed, HEADS, train_mode=True)[0]]
         for head in HEADS:
-            alone = np.array([forward(model, [enc], head)[0][0] for enc in batch])
+            alone = np.array([forward(model, nn.pack([enc]), head)[0][0] for enc in batch])
             for scores in runs:
                 np.testing.assert_array_equal(scores[head].view(np.int64), alone.view(np.int64))
 
@@ -212,7 +216,7 @@ class TestPacked:
         model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
         model.store.params["nodeconv.bias"][0] = 0.3
         packed = nn.pack(encs).take(picks)
-        alone = {head: np.array([forward(model, [encs[i]], head)[0][0] for i in picks]) for head in HEADS}
+        alone = {head: np.array([forward(model, nn.pack([encs[i]]), head)[0][0] for i in picks]) for head in HEADS}
         chunks, dense = [], nn._dense_forward
         def counted(model, chunk, *args):
             chunks.append(chunk.nodes)
@@ -241,7 +245,7 @@ class TestPacked:
             calls.append(1)
             return dense(*args)
         with mock.patch.object(nn, "EVAL_ROWS", budget), mock.patch.object(nn, "_dense_forward", counted):
-            forward(model, group)
+            forward(model, nn.pack(group))
         assert len(calls) == math.ceil(7 * 5 / budget)
 
     def test_eval_memory_flat_in_pool_size(self):
@@ -270,7 +274,7 @@ class TestPacked:
         batch = encs[:20]
         rng = np.random.default_rng(3)
         ups = {head: rng.standard_normal(len(batch)) for head in HEADS}
-        _, ctx = forward_heads(model, batch, HEADS, train_mode=True)
+        _, ctx = forward_heads(model, nn.pack(batch), HEADS, train_mode=True)
         backward(model, ups, ctx)
         dense = {k: v.copy() for k, v in model.store.grads.items()}
         for g in model.store.grads.values():
@@ -279,7 +283,7 @@ class TestPacked:
         assert len(set(keys)) > 2
         for key in sorted(set(keys)):
             idx = [i for i, k in enumerate(keys) if k == key]
-            _, ctx = forward_heads(model, [batch[i] for i in idx], HEADS, train_mode=True)
+            _, ctx = forward_heads(model, nn.pack([batch[i] for i in idx]), HEADS, train_mode=True)
             backward(model, {head: u[idx] for head, u in ups.items()}, ctx)
         for name, grad in dense.items():
             np.testing.assert_array_equal(grad.view(np.int64), model.store.grads[name].view(np.int64), err_msg=name)
@@ -381,19 +385,19 @@ class TestRowSelection:
 class TestDropout:
     def test_reproducible_per_seed(self, tiny_encs):
         m = build_model(TINY)
-        s1, _ = forward(m, tiny_encs[:6], "rank", train_mode=True, dropout_seed=42)
-        s2, _ = forward(m, tiny_encs[:6], "rank", train_mode=True, dropout_seed=42)
+        s1, _ = forward(m, nn.pack(tiny_encs[:6]), "rank", train_mode=True, dropout_seed=42)
+        s2, _ = forward(m, nn.pack(tiny_encs[:6]), "rank", train_mode=True, dropout_seed=42)
         np.testing.assert_array_equal(s1, s2)
         # some seed must draw a different mask (a single tiny head can
         # coincide for one particular pair of seeds)
-        others = [forward(m, tiny_encs[:6], "rank", train_mode=True, dropout_seed=s)[0] for s in range(43, 53)]
+        others = [forward(m, nn.pack(tiny_encs[:6]), "rank", train_mode=True, dropout_seed=s)[0] for s in range(43, 53)]
         assert any(not np.array_equal(s1, s3) for s3 in others)
 
     def test_expectation_matches_eval(self, tiny_encs):
         # inverted dropout: mean over seeds of the train-mode score equals the
         # eval score within Monte-Carlo error (3 sigma at 10k samples)
         m = build_model(TINY)
-        batch = tiny_encs[:2]
+        batch = nn.pack(tiny_encs[:2])
         eval_scores, _ = forward(m, batch, "rank")
         n = 10_000
         samples = np.empty((n, len(batch)))
@@ -406,16 +410,17 @@ class TestDropout:
 
 class TestSortPool:
     def test_identity_when_sorted(self):
-        z = np.array([[0.1, 3.0], [0.2, 2.0], [0.3, 1.0]])
-        pooled, sel = sort_pool(z, 3)
+        z = np.array([[[0.1, 3.0], [0.2, 2.0], [0.3, 1.0]]])
+        pooled, sel = nn._sort_pool(z, 3)
         np.testing.assert_array_equal(pooled, z)
-        np.testing.assert_array_equal(sel, [0, 1, 2])
+        np.testing.assert_array_equal(sel, [[0, 1, 2]])
 
     def test_zero_padding(self):
-        z = np.array([[1.0, 5.0], [2.0, 7.0]])
-        pooled, sel = sort_pool(z, 4)
-        np.testing.assert_array_equal(pooled[:2], z[[1, 0]])
-        np.testing.assert_array_equal(pooled[2:], 0.0)
+        z = np.array([[[1.0, 5.0], [2.0, 7.0]]])
+        pooled, sel = nn._sort_pool(z, 4)
+        np.testing.assert_array_equal(pooled[0, :2], z[0, [1, 0]])
+        np.testing.assert_array_equal(pooled[0, 2:], 0.0)
+        np.testing.assert_array_equal(sel, [[1, 0]])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -424,11 +429,11 @@ class TestSortPool:
             c = int(rng.integers(1, 5))
             k = int(rng.integers(1, 10))
             z = np.round(rng.standard_normal((n, c)), 1)
-            pooled, _ = sort_pool(z, k)
+            pooled, _ = nn._sort_pool(z[None], k)
             order = sorted(range(n), key=lambda i: (tuple(-z[i, ::-1]), i))
             ref = np.zeros((k, c))
             ref[: min(n, k)] = z[order[: min(n, k)]]
-            np.testing.assert_array_equal(pooled, ref)
+            np.testing.assert_array_equal(pooled[0], ref)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
@@ -457,17 +462,13 @@ class TestSortPool:
                 # bitwise, so -0.0 rows stay -0.0 and padded rows are +0.0
                 np.testing.assert_array_equal(pooled[b].view(np.int64), ref.view(np.int64))
 
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            sort_pool(np.ones((2, 2)), 0)
-
 
 def _fd_check(model_cfg, encs, batch_size, h=1e-5):
     """Max relative error of backward against central finite differences of
     J(theta) = sum over heads/items of u * score, with fixed dropout masks."""
     model = build_model(model_cfg)
     rng = np.random.default_rng(model_cfg.seed + 1000)
-    batch = encs[:batch_size]
+    batch = nn.pack(encs[:batch_size])
     ups = {head: rng.standard_normal(len(batch)) for head in HEADS}
 
     def objective():
@@ -506,7 +507,7 @@ class TestBackward:
 
     def test_zero_upstream_zero_grads(self, tiny_encs):
         m = build_model(TINY)
-        _, ctx = forward(m, tiny_encs[:4], "rank", train_mode=True, dropout_seed=1)
+        _, ctx = forward(m, nn.pack(tiny_encs[:4]), "rank", train_mode=True, dropout_seed=1)
         backward(m, {"rank": np.zeros(4)}, ctx)
         for name in m.store.names():
             assert np.all(m.store.grads[name] == 0.0)
@@ -514,14 +515,14 @@ class TestBackward:
     def test_linearity_across_items(self, tiny_encs):
         # upstream (1, 0) on a 2-batch equals the sum of two single-item calls
         m = build_model(TINY)
-        _, ctx = forward(m, tiny_encs[:2], "rank", train_mode=True, dropout_seed=5)
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
         backward(m, {"rank": np.array([1.0, 0.0])}, ctx)
         joint = {k: v.copy() for k, v in m.store.grads.items()}
         for g in m.store.grads.values():
             g[...] = 0.0
         # dropout masks differ between batch layouts, so compare against the
         # same batch with upstream masking instead
-        _, ctx = forward(m, tiny_encs[:2], "rank", train_mode=True, dropout_seed=5)
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
         backward(m, {"rank": np.array([1.0, 0.0])}, ctx)
         again = {k: v.copy() for k, v in m.store.grads.items()}
         for name in joint:
@@ -529,23 +530,23 @@ class TestBackward:
 
     def test_gradients_accumulate(self, tiny_encs):
         m = build_model(TINY)
-        _, ctx = forward(m, tiny_encs[:2], "rank", train_mode=True, dropout_seed=5)
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
         backward(m, {"rank": np.array([1.0, 2.0])}, ctx)
         once = {k: v.copy() for k, v in m.store.grads.items()}
-        _, ctx = forward(m, tiny_encs[:2], "rank", train_mode=True, dropout_seed=5)
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
         backward(m, {"rank": np.array([1.0, 2.0])}, ctx)
         for name in once:
             np.testing.assert_allclose(m.store.grads[name], 2.0 * once[name], rtol=1e-12)
 
     def test_eval_context_rejected(self, tiny_encs):
         m = build_model(TINY)
-        _, ctx = forward(m, tiny_encs[:2], "rank")
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank")
         with pytest.raises(ValueError, match="train mode"):
             backward(m, {"rank": np.zeros(2)}, ctx)
 
     def test_stale_context_rejected(self, tiny_encs):
         m = build_model(TINY)
-        s, ctx = forward(m, tiny_encs[:2], "rank", train_mode=True, dropout_seed=3)
+        s, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=3)
         backward(m, {"rank": np.ones(2)}, ctx)
         adam_step(m.store, lr=0.01)
         with pytest.raises(ValueError, match="stale"):
@@ -609,18 +610,20 @@ class TestCosine:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, tiny_encs):
-        m = build_model(TINY)
+        m = build_model(TINY, ("input", "output", "conv", "pool"))
         nn.set_hparam_stats(m, nn.pack(tiny_encs).hparams)
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
         loaded = load_checkpoint(path)
+        assert checkpoint_bytes(loaded) == path.read_bytes()
         assert loaded.config == m.config
+        assert loaded.vocab == m.vocab == ("input", "output", "conv", "pool")
         assert loaded.hp_fitted == m.hp_fitted
         np.testing.assert_array_equal(loaded.hp_mean, m.hp_mean)
         for name in m.store.names():
             np.testing.assert_array_equal(loaded.store.params[name], m.store.params[name])
-        s1, _ = forward(m, tiny_encs[:5], "rank")
-        s2, _ = forward(loaded, tiny_encs[:5], "rank")
+        s1, _ = forward(m, nn.pack(tiny_encs[:5]), "rank")
+        s2, _ = forward(loaded, nn.pack(tiny_encs[:5]), "rank")
         np.testing.assert_array_equal(s1, s2)
 
     def test_serialization_deterministic(self):
@@ -631,6 +634,26 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(path)
+
+    def test_rejects_version_1(self, tmp_path):
+        doc = json.loads(checkpoint_bytes(build_model(TINY)))
+        del doc["vocab"]
+        doc["version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="predates the recorded op vocabulary; re-run pretrain"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("vocab", [["input", "output", "conv"], ["input", "output", "conv", "conv"], [1, 2, 3, 4]])
+    def test_rejects_bad_vocabulary(self, tmp_path, vocab):
+        doc = json.loads(checkpoint_bytes(build_model(TINY)))
+        doc["vocab"] = vocab
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="vocabulary"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="vocabulary"):
+            build_model(TINY, vocab)
 
     @staticmethod
     def _corrupt(tmp_path, name, change):

@@ -62,7 +62,8 @@ class TestSearchView:
             assert np.shares_memory(mine, theirs)
         with mock.patch.object(nn, "EVAL_ROWS", budget):
             scores, _ = nn.forward(model, pool.batch)
-            copied, _ = nn.forward(model, nn.pack([view.encoded(rid) for rid in ids]))
+            copied, _ = nn.forward(model, nn.pack([space.encode_architecture(bench.records[rid].arch, bench.meta.vocab)
+                                                   for rid in ids]))
         np.testing.assert_array_equal(scores.view(np.int64), copied.view(np.int64))
 
 
@@ -192,14 +193,10 @@ class TestSelectTopK:
         # selected k exceeds the pool mean (seeded, single deterministic run)
         rng = np.random.default_rng(5)
         ids = list(bench.ids)
-        lab = [bench.records[ids[i]] for i in rng.choice(len(ids), 60, replace=False)]
-        examples = [
-            ltr.LabeledExample(arch_id=r.arch.id, encoded=space.encode_architecture(r.arch, bench.meta.vocab),
-                               val_acc=r.val_acc)
-            for r in lab
-        ]
-        result = ltr.finetune(nn.build_model(MODEL_CFG), examples, ltr.TrainConfig(epochs=30, early_stop_patience=10, seed=1))
+        lab = [ids[i] for i in rng.choice(len(ids), 60, replace=False)]
         view = SearchView(bench)
+        result = ltr.finetune(nn.build_model(MODEL_CFG), view.pool(lab).batch, lab, [view.reveal_val(r) for r in lab],
+                              ltr.TrainConfig(epochs=30, early_stop_patience=10, seed=1))
         top = select_top_k(result.model, view.pool(view.ids), 10)
         top_mean = np.mean([bench.records[rid].val_acc for rid, _ in top])
         pool_mean = np.mean([r.val_acc for r in bench.records.values()])

@@ -14,8 +14,10 @@
 #   search    full, ranknet, vanilla-mse, random, ws-greedy, full with
 #             --no-pretrain and exploit-only full (--alpha 1, so every pick
 #             after round 1 comes from pool scoring): budget 100 in 5 rounds,
-#             top-10, 60 epochs, patience 15, probe 512
-#   report    over the seven search runs
+#             top-10, 60 epochs, patience 15, probe 512; and full with
+#             --probe-size 0 --patience 0, so a finetune that runs every
+#             epoch and a search without a probe are covered too
+#   report    over the seven search runs before the no-probe one
 #   two cells synth --cells 2 with 800 records, a 1-epoch pretrain on all of
 #             them and a full search, so the multi-cell encoder is covered
 #   wide vocabulary, no hyper-parameters
@@ -63,6 +65,8 @@ done
 ltrnas search --out search-no-pretrain --no-pretrain --space space/space.jsonl "${search[@]}"
 ltrnas search --out search-exploit --alpha 1 --space space/space.jsonl --checkpoint pre/checkpoint.json \
     "${search[@]}"
+ltrnas search --out search-no-probe --space space/space.jsonl --checkpoint pre/checkpoint.json \
+    "${search[@]}" --probe-size 0 --patience 0
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
     search-no-pretrain search-exploit --out report
 
