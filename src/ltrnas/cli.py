@@ -304,8 +304,10 @@ def cmd_search(args) -> int:
             if model.vocab != bench.meta.vocab:
                 raise CliConfigError(f"checkpoint was trained on op vocabulary {list(model.vocab)}, "
                                      f"the space has {list(bench.meta.vocab)}")
-            if model.config.hparam_dim != bench.meta.hparam_dim:
-                raise CliConfigError("checkpoint was trained for a different space shape")
+            shape = (len(next(iter(bench.records.values())).arch.cells), bench.meta.hparam_dim)
+            if (model.config.n_cells, model.config.hparam_dim) != shape:
+                raise CliConfigError(f"checkpoint was trained for {model.config.n_cells} cell(s) and hparam_dim "
+                                     f"{model.config.hparam_dim}, the space has {shape[0]} and {shape[1]}")
         tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
                         weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
                         early_stop_patience=args.patience if args.patience > 0 else None)
@@ -576,7 +578,8 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, registry, argv)
         return args.func(args)
-    except (CliConfigError, space_mod.SpaceParseError, space_mod.SpaceValidationError) as e:
+    except (CliConfigError, space_mod.SpaceParseError, space_mod.SpaceValidationError,
+            space_mod.CalibrationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (CliIoError, OSError) as e:

@@ -122,28 +122,25 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
     if g.nodes.count("input") != 1 or g.nodes.count("output") != 1:
         raise SpaceValidationError(f"{where}graph must contain exactly one input and one output node")
     succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
+    indeg = [0] * n
     for s, d in g.edges:
         if not (0 <= s < n and 0 <= d < n):
             raise SpaceValidationError(f"{where}edge ({s}, {d}) out of range for {n} nodes")
         if s == d:
             raise SpaceValidationError(f"{where}self-edge on node {s}")
         succ[s].append(d)
-        pred[d].append(s)
+        indeg[d] += 1
 
-    # Kahn topological pass doubles as the cycle check.
-    sources = [v for v in range(n) if not pred[v]]
-    indeg = [len(p) for p in pred]
-    queue = list(sources)
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    # Kahn topological pass doubles as the cycle check: `order` grows while
+    # it is walked, and holds every node exactly when there is no cycle.
+    sources = [v for v in range(n) if not indeg[v]]
+    order = sources.copy()
+    for v in order:
         for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != n:
+            if not indeg[w]:
+                order.append(w)
+    if len(order) != n:
         raise SpaceValidationError(f"{where}graph contains a cycle")
 
     # In a DAG every node descends from a source and leads to a sink, so all
@@ -168,6 +165,9 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
         missing = [v for v in range(n) if v != src and v not in from_input]
         raise SpaceValidationError(f"{where}nodes {missing} unreachable from input")
     if [v for v in range(n) if not succ[v]] != [dst]:
+        pred = [[] for _ in range(n)]
+        for s, d in g.edges:
+            pred[d].append(s)
         to_output = reach(dst, pred)
         missing = [v for v in range(n) if v != dst and v not in to_output]
         raise SpaceValidationError(f"{where}nodes {missing} cannot reach output")
@@ -184,13 +184,12 @@ def validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
             raise SpaceValidationError(f"{rid}: hparams[{i}]={h} is not finite")
     if not rec.arch.cells:
         raise SpaceValidationError(f"{rid}: architecture has no cells")
-    vocab = set(meta.vocab)
     for cell in rec.arch.cells:
         validate_graph(cell, context=rid)
         for op in cell.nodes:
-            if op not in vocab:
+            if op not in meta.vocab:
                 raise SpaceValidationError(f"{rid}: op {op!r} not in declared vocabulary")
-    for name, value in [("val_acc", rec.val_acc), ("test_acc", rec.test_acc)]:
+    for name, value in (("val_acc", rec.val_acc), ("test_acc", rec.test_acc)):
         if not math.isfinite(value):
             raise SpaceValidationError(f"{rid}: {name} is not finite")
         if not 0.0 <= value <= 100.0:
@@ -198,7 +197,7 @@ def validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
     if rec.ws_acc is not None:
         if not math.isfinite(rec.ws_acc) or not 0.0 <= rec.ws_acc <= 100.0:
             raise SpaceValidationError(f"{rid}: ws_acc={rec.ws_acc} outside [0, 100]")
-    for name, value in [("flops", rec.flops), ("params", rec.params)]:
+    for name, value in (("flops", rec.flops), ("params", rec.params)):
         if not math.isfinite(value) or value < 0.0:
             raise SpaceValidationError(f"{rid}: {name}={value} must be finite and nonnegative")
 
@@ -289,23 +288,22 @@ def load_space(path: str | Path) -> SearchSpace:
 
 
 def save_space(space: SearchSpace, path: str | Path) -> None:
-    """Write the space in the line-delimited format; output is deterministic."""
+    """Write the space in the line-delimited format; output is deterministic.
+    Every line is `json.dumps(obj, sort_keys=True)`; tuples encode as lists."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         header = {
             "name": space.meta.name,
-            "vocab": list(space.meta.vocab),
+            "vocab": space.meta.vocab,
             "hparam_dim": space.meta.hparam_dim,
         }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(encode(header) + "\n")
         for rec in space.records.values():
             obj = {
                 "id": rec.arch.id,
-                "cells": [
-                    {"nodes": list(c.nodes), "edges": [list(e) for e in c.edges]}
-                    for c in rec.arch.cells
-                ],
-                "hparams": list(rec.arch.hparams),
+                "cells": [{"nodes": c.nodes, "edges": c.edges} for c in rec.arch.cells],
+                "hparams": rec.arch.hparams,
                 "val_acc": rec.val_acc,
                 "test_acc": rec.test_acc,
                 "flops": rec.flops,
@@ -313,7 +311,7 @@ def save_space(space: SearchSpace, path: str | Path) -> None:
             }
             if rec.ws_acc is not None:
                 obj["ws_acc"] = rec.ws_acc
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def draw_ids(rng: np.random.Generator, ids: Sequence[str], n: int) -> list[str]:
@@ -367,10 +365,10 @@ def _synth_vocab(vocab_size: int) -> tuple[str, ...]:
     return ("input", "output", *middle[: vocab_size - 2])
 
 
-def _node_depths(cell: ArchGraph) -> np.ndarray:
+def _node_depths(cell: ArchGraph) -> list[int]:
     """Longest-path depth of every node from the in-degree-zero frontier."""
     n = len(cell.nodes)
-    depth = np.zeros(n)
+    depth = [0] * n
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for s, d in cell.edges:
@@ -379,8 +377,10 @@ def _node_depths(cell: ArchGraph) -> np.ndarray:
     queue = [v for v in range(n) if indeg[v] == 0]
     while queue:
         v = queue.pop()
+        below = depth[v] + 1
         for w in succ[v]:
-            depth[w] = max(depth[w], depth[v] + 1)
+            if depth[w] < below:
+                depth[w] = below
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
@@ -422,42 +422,53 @@ class SyntheticLandscape:
         self.op_weights = 0.7 * rng.standard_normal(len(middle)) + prior
         self.op_weights -= self.op_weights.mean()
         self.hparam_weights = rng.standard_normal(max(cfg.hparam_dim, 1))
+        self._slot = {op: i for i, op in enumerate(self.vocab)}
+        # per node count n, every (src, dst) pair with src < dst, in row order
+        self._forward_pairs = {n: tuple((s, d) for s in range(n - 1) for d in range(s + 1, n))
+                               for n in range(cfg.node_range[0], cfg.node_range[1] + 1)}
 
     def sample_architecture(self, arch_id: str, rng: np.random.Generator) -> Architecture:
+        """Draw one architecture. The calls on `rng`, their order and their
+        arguments are part of the space file format: each record's draws
+        start where the previous record's ended, so changing any call changes
+        the bytes of every synthetic space."""
+        integers = rng.integers
         lo, hi = self.cfg.node_range
+        middle = self.vocab[2:]
         cells = []
         for _ in range(self.cfg.n_cells):
-            n = int(rng.integers(lo, hi + 1))
-            nodes = ["input"] + [self.vocab[2 + int(k)] for k in rng.integers(0, len(self.vocab) - 2, size=n - 2)] + ["output"]
-            edges = set()
-            for v in range(1, n):
-                edges.add((int(rng.integers(0, v)), v))
-            has_successor = {s for s, _ in edges}
-            for v in range(n - 1):
-                if v not in has_successor:
-                    edges.add((v, int(rng.integers(v + 1, n))))
+            n = int(integers(lo, hi + 1))
+            nodes = ("input", *[middle[k] for k in integers(0, len(middle), size=n - 2).tolist()], "output")
+            sources = [int(integers(0, v)) for v in range(1, n)]
+            edges = set(zip(sources, range(1, n)))
+            has_successor = set(sources)
+            edges.update([(v, int(integers(v + 1, n))) for v in range(n - 1) if v not in has_successor])
             # sprinkle extra forward edges for variety: one uniform per free pair
-            free = [(s, d) for s in range(n - 1) for d in range(s + 1, n) if (s, d) not in edges]
-            edges.update(pair for pair, u in zip(free, rng.random(len(free))) if u < 1.0 / n)
-            cells.append(ArchGraph(nodes=tuple(nodes), edges=tuple(sorted(edges))))
-        hparams = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=self.cfg.hparam_dim))
+            # (every pair not yet an edge, all edges being forward), in row order
+            pairs = self._forward_pairs[n]
+            u = iter(rng.random(len(pairs) - len(edges)).tolist())
+            p = 1.0 / n
+            cells.append(ArchGraph(nodes=nodes, edges=tuple([e for e in pairs if e in edges or next(u) < p])))
+        hparams = tuple(rng.uniform(-1.0, 1.0, size=self.cfg.hparam_dim).tolist())
         return Architecture(id=arch_id, cells=tuple(cells), hparams=hparams)
 
     def _features(self, arch: Architecture) -> tuple[float, float, float]:
-        n_middle_ops = len(self.vocab) - 2
-        hist = np.zeros(n_middle_ops)
-        depth_terms = []
+        # Op counts and depths are ints, so their sums and means are exact;
+        # the dot products keep numpy's summation order.
+        slot = self._slot
+        counts = [0] * len(self.vocab)
+        depth_sum = 0.0
         for cell in arch.cells:
             for op in cell.nodes:
-                if op not in ("input", "output"):
-                    hist[self.vocab.index(op) - 2] += 1
-            depths = _node_depths(cell)
-            depth_terms.append(float(depths.mean() / max(len(cell.nodes) - 1, 1)))
-        total_middle = hist.sum()
+                counts[slot[op]] += 1
+            n = len(cell.nodes)
+            depth_sum += sum(_node_depths(cell)) / n / max(n - 1, 1)
+        hist = counts[2:]
+        total_middle = sum(hist)
         if total_middle > 0:
-            hist /= total_middle
-        op_term = float(hist @ self.op_weights)
-        depth_term = float(np.mean(depth_terms))
+            hist = [c / total_middle for c in hist]
+        op_term = float(np.array(hist, dtype=float) @ self.op_weights)
+        depth_term = depth_sum / len(arch.cells)
         if self.cfg.hparam_dim:
             hp = np.asarray(arch.hparams)
             hp_term = float(hp @ self.hparam_weights) / math.sqrt(self.cfg.hparam_dim)
@@ -502,8 +513,8 @@ def generate_synthetic_space(cfg: SynthConfig) -> SearchSpace:
     for i in range(cfg.size):
         arch = landscape.sample_architecture(f"arch-{i:0{width}d}", rng)
         base = landscape.base_accuracy(arch)
-        val = float(np.clip(base + rng.normal(0.0, landscape.NOISE_SD), 0.0, 100.0))
-        test = float(np.clip(base + rng.normal(0.0, landscape.NOISE_SD), 0.0, 100.0))
+        val = min(max(base + rng.normal(0.0, landscape.NOISE_SD), 0.0), 100.0)
+        test = min(max(base + rng.normal(0.0, landscape.NOISE_SD), 0.0), 100.0)
         flops, params = landscape.cost_metrics(arch)
         records.append(
             BenchmarkRecord(arch=arch, val_acc=val, test_acc=test, ws_acc=None, flops=flops, params=params)
@@ -524,16 +535,20 @@ def calibrate_weak_labels(
     Weak labels are a logistic rescaling of val_acc plus Gaussian noise; the
     noise amplitude is found by bisection against the measured tau on one
     fixed noise draw, so the result is deterministic per seed. Raises
-    CalibrationError when no amplitude within the search bracket lands inside
-    the tolerance.
+    CalibrationError, naming the size and the target, when no amplitude in
+    the search bracket lands inside the tolerance (a tiny space may have none).
     """
     if not 0.0 <= target_tau <= 1.0:
         raise ValueError(f"target_tau must be in [0, 1], got {target_tau}")
+
+    def failed(reason: str) -> CalibrationError:
+        return CalibrationError(f"cannot calibrate weak labels of {len(space)} records to tau {target_tau}: {reason}")
+
     vals = np.array([r.val_acc for r in space.records.values()])
     center = float(np.median(vals))
     scale = 2.0 * float(np.std(vals))  # gentle squash: keeps the tails distinguishable
     if scale == 0.0:
-        raise CalibrationError("val_acc has zero variance; weak labels cannot be calibrated")
+        raise failed("val_acc has zero variance")
     base = 100.0 / (1.0 + np.exp(-(vals - center) / scale))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11]))
     noise = rng.standard_normal(vals.size)
@@ -541,7 +556,10 @@ def calibrate_weak_labels(
 
     def measured_tau(amplitude: float) -> tuple[float, np.ndarray]:
         ws = np.clip(base + amplitude * noise, 0.0, 100.0)
-        return metrics.kendall_tau(ws, vals), ws
+        try:
+            return metrics.kendall_tau(ws, vals), ws
+        except ValueError as e:  # on a tiny space every label can clip to one bound
+            raise failed(f"at noise amplitude {amplitude:.4g}, {e}") from e
 
     tau0, ws0 = measured_tau(0.0)
     best = (abs(tau0 - target_tau), 0.0, tau0, ws0)
@@ -566,9 +584,7 @@ def calibrate_weak_labels(
                 hi = mid
     gap, _, _, ws = best
     if gap > tolerance:
-        raise CalibrationError(
-            f"calibration stalled: closest tau is {best[2]:.4f} vs target {target_tau:.4f}"
-        )
+        raise failed(f"the closest tau reached is {best[2]:.4f}")
     records = [
         replace(rec, ws_acc=float(w)) for rec, w in zip(space.records.values(), ws)
     ]

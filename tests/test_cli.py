@@ -89,6 +89,13 @@ class TestSynth:
     def test_tau_out_of_range_is_config_error(self, tmp_path):
         assert run("synth", "--out", tmp_path, "--seed", "1", "--size", "10", "--tau", "1.5") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("size, tau", [("2", "0.6"), ("3", "0.5")])
+    def test_unreachable_tau_on_tiny_space_is_config_error(self, tmp_path, capsys, size, tau):
+        assert run("synth", "--out", tmp_path, "--seed", "1", "--size", size, "--tau", tau) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot calibrate weak labels of {size} records to tau {tau}:")
+        assert err.count("\n") == 1
+
     def test_internal_value_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         # a ValueError raised inside the pipeline is a bug, not a user's configuration error
         def broken(*args, **kwargs):
@@ -264,6 +271,16 @@ class TestSearch:
         argv[argv.index("--space") + 1] = permuted
         assert run(*argv) == EXIT_CONFIG
         assert "op vocabulary" in capsys.readouterr().err
+
+    def test_cell_count_mismatch_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
+        # same vocabulary and hparam_dim, two cells per record: the one-cell
+        # checkpoint cannot score it
+        two_cells = tmp_path / "two-cells"
+        assert run("synth", "--out", two_cells, "--seed", "3", "--size", "80", "--cells", "2") == EXIT_OK
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "cells")
+        argv[argv.index("--space") + 1] = two_cells / "space.jsonl"
+        assert run(*argv) == EXIT_CONFIG
+        assert "trained for 1 cell(s) and hparam_dim 2, the space has 2 and 2" in capsys.readouterr().err
 
     def test_version_1_checkpoint_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
         doc = json.loads((pretrain_dir / "checkpoint.json").read_text())

@@ -1,6 +1,7 @@
 """Space tests: file round trips, graph invariants, synthesis, calibration."""
 
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -483,3 +484,127 @@ class TestCalibration:
         flat = space.SearchSpace(meta=meta, records=recs)
         with pytest.raises(CalibrationError):
             calibrate_weak_labels(flat, 0.6, seed=0)
+
+    @pytest.mark.parametrize("size, target", [(2, 0.6), (3, 0.5)])
+    def test_tiny_space_names_size_and_target(self, size, target):
+        # two records have tau +-1 only, three +-1/3 or +-1; widening the noise
+        # on two records clips both labels to one bound, where tau is undefined
+        sp = generate_synthetic_space(SynthConfig(size=size, seed=1))
+        with pytest.raises(CalibrationError, match=f"of {size} records to tau {target}:"):
+            calibrate_weak_labels(sp, target, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the synthetic sampler and landscape features in their
+# earlier, numpy-per-scalar form. The current code must make the same draws
+# and the same float arithmetic, since they fix every synthetic space's bytes.
+# ---------------------------------------------------------------------------
+
+def _reference_node_depths(cell):
+    n = len(cell.nodes)
+    depth = np.zeros(n)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s, d in cell.edges:
+        succ[s].append(d)
+        indeg[d] += 1
+    queue = [v for v in range(n) if indeg[v] == 0]
+    while queue:
+        v = queue.pop()
+        for w in succ[v]:
+            depth[w] = max(depth[w], depth[v] + 1)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return depth
+
+
+def _reference_sample(landscape, arch_id, rng):
+    lo, hi = landscape.cfg.node_range
+    vocab = landscape.vocab
+    cells = []
+    for _ in range(landscape.cfg.n_cells):
+        n = int(rng.integers(lo, hi + 1))
+        nodes = ["input"] + [vocab[2 + int(k)] for k in rng.integers(0, len(vocab) - 2, size=n - 2)] + ["output"]
+        edges = set()
+        for v in range(1, n):
+            edges.add((int(rng.integers(0, v)), v))
+        has_successor = {s for s, _ in edges}
+        for v in range(n - 1):
+            if v not in has_successor:
+                edges.add((v, int(rng.integers(v + 1, n))))
+        free = [(s, d) for s in range(n - 1) for d in range(s + 1, n) if (s, d) not in edges]
+        edges.update(pair for pair, u in zip(free, rng.random(len(free))) if u < 1.0 / n)
+        cells.append(ArchGraph(nodes=tuple(nodes), edges=tuple(sorted(edges))))
+    hparams = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=landscape.cfg.hparam_dim))
+    return Architecture(id=arch_id, cells=tuple(cells), hparams=hparams)
+
+
+def _reference_base_accuracy(landscape, arch):
+    vocab = landscape.vocab
+    hist = np.zeros(len(vocab) - 2)
+    depth_terms = []
+    for cell in arch.cells:
+        for op in cell.nodes:
+            if op not in ("input", "output"):
+                hist[vocab.index(op) - 2] += 1
+        depths = _reference_node_depths(cell)
+        depth_terms.append(float(depths.mean() / max(len(cell.nodes) - 1, 1)))
+    total_middle = hist.sum()
+    if total_middle > 0:
+        hist /= total_middle
+    op_term = float(hist @ landscape.op_weights)
+    depth_term = float(np.mean(depth_terms))
+    if landscape.cfg.hparam_dim:
+        hp_term = float(np.asarray(arch.hparams) @ landscape.hparam_weights) / math.sqrt(landscape.cfg.hparam_dim)
+    else:
+        hp_term = 0.0
+    z = (landscape._SKEW_SHIFT + landscape._GAIN_OPS * op_term
+         + landscape._GAIN_DEPTH * (depth_term - 0.5) + landscape._GAIN_HPARAMS * hp_term)
+    return landscape._ACC_FLOOR + landscape._ACC_SPAN / (1.0 + math.exp(-z))
+
+
+@st.composite
+def _synth_configs(draw):
+    lo = draw(st.integers(3, 16))
+    return SynthConfig(size=draw(st.integers(2, 40)), node_range=(lo, draw(st.integers(lo, 16))),
+                       vocab_size=draw(st.integers(3, 14)), hparam_dim=draw(st.integers(0, 4)),
+                       n_cells=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSynthMatchesReference:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(_synth_configs())
+    def test_same_architectures_and_bit_equal_accuracies(self, cfg):
+        sp = generate_synthetic_space(cfg)
+        landscape = SyntheticLandscape(cfg)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x51A5]))
+        for rid, rec in sp.records.items():
+            arch = _reference_sample(landscape, rid, rng)
+            base = _reference_base_accuracy(landscape, arch)
+            val = float(np.clip(base + rng.normal(0.0, landscape.NOISE_SD), 0.0, 100.0))
+            test = float(np.clip(base + rng.normal(0.0, landscape.NOISE_SD), 0.0, 100.0))
+            assert rec.arch == arch
+            assert landscape.base_accuracy(arch).hex() == base.hex()
+            assert (rec.val_acc.hex(), rec.test_acc.hex()) == (val.hex(), test.hex())
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(_spaces())
+    def test_save_space_lines_are_json_dumps(self, sp):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "space.jsonl")
+            save_space(sp, path)
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+        meta = {"name": sp.meta.name, "vocab": list(sp.meta.vocab), "hparam_dim": sp.meta.hparam_dim}
+        assert header == json.dumps(meta, sort_keys=True)
+        assert len(lines) == len(sp)
+        for line, rec in zip(lines, sp.records.values()):
+            obj = {
+                "id": rec.arch.id,
+                "cells": [{"nodes": list(c.nodes), "edges": [list(e) for e in c.edges]} for c in rec.arch.cells],
+                "hparams": list(rec.arch.hparams),
+                "val_acc": rec.val_acc, "test_acc": rec.test_acc, "flops": rec.flops, "params": rec.params,
+            }
+            if rec.ws_acc is not None:
+                obj["ws_acc"] = rec.ws_acc
+            assert line == json.dumps(obj, sort_keys=True)

@@ -24,9 +24,13 @@
 #             synth --vocab-size 14 --hparam-dim 0 with 800 records (numbered
 #             ops, a model without hproj), a 1-epoch pretrain on all of them
 #             and a full search
+#   synth corners, synth only, 300 records each: nodes 3-16 with 3 cells,
+#             5 hyper-parameters and vocabulary 5 (cells of every size the
+#             sampler's forward-pair table holds, the widest hyper-parameter
+#             draw); and --tau 1.0, which takes calibration's amplitude-0 path
 # Commands run inside OUT_DIR with relative paths, so the paths recorded in
 # run_config.json match between runs. Each command's standard output is
-# appended to OUT_DIR/stdout.txt. About 35 s on a 2-vCPU VM.
+# appended to OUT_DIR/stdout.txt. About 40 s on a 2-vCPU VM.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -81,3 +85,7 @@ ltrnas synth --out space-wide --seed 6 --size 800 --vocab-size 14 --hparam-dim 0
 ltrnas pretrain --out pre-wide --seed 7 --space space-wide/space.jsonl --sample 800 --lr 0.005 --epochs 1 \
     "${model[@]}"
 ltrnas search --out search-wide --space space-wide/space.jsonl --checkpoint pre-wide/checkpoint.json "${search[@]}"
+
+ltrnas synth --out space-corners --seed 8 --size 300 --nodes-min 3 --nodes-max 16 --cells 3 --hparam-dim 5 \
+    --vocab-size 5 --tau 0.6
+ltrnas synth --out space-tau-one --seed 9 --size 300 --nodes-min 5 --nodes-max 11 --vocab-size 9 --tau 1.0
