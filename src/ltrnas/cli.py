@@ -139,7 +139,7 @@ def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn
         nn.ModelConfig,
         vocab_size=len(bench.meta.vocab),
         hparam_dim=bench.meta.hparam_dim,
-        n_cells=len(next(iter(bench.records.values())).arch.cells),
+        n_cells=bench.n_cells,
         conv_channels=tuple([args.hidden] * args.layers),
         sortpool_nodes=args.sortpool,
         conv1d_channels=args.conv1d,
@@ -263,10 +263,14 @@ def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) 
 
 def cmd_search(args) -> int:
     _require(args, "seed", "out", "space")
+    for flag, value, least in (("rounds", args.rounds, 1), ("probe-size", args.probe_size, 0),
+                               ("patience", args.patience, 0)):
+        if value < least:
+            raise CliConfigError(f"--{flag} must be >= {least}, got {value}")
+    if args.budget % args.rounds != 0:
+        raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
     out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
-    if args.rounds < 1 or args.budget % args.rounds != 0:
-        raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
     scfg = _checked(search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
                     exploit_fraction=args.alpha, top_k=args.topk, seed=args.seed)
     baseline = args.baseline or "full"
@@ -304,7 +308,7 @@ def cmd_search(args) -> int:
             if model.vocab != bench.meta.vocab:
                 raise CliConfigError(f"checkpoint was trained on op vocabulary {list(model.vocab)}, "
                                      f"the space has {list(bench.meta.vocab)}")
-            shape = (len(next(iter(bench.records.values())).arch.cells), bench.meta.hparam_dim)
+            shape = (bench.n_cells, bench.meta.hparam_dim)
             if (model.config.n_cells, model.config.hparam_dim) != shape:
                 raise CliConfigError(f"checkpoint was trained for {model.config.n_cells} cell(s) and hparam_dim "
                                      f"{model.config.hparam_dim}, the space has {shape[0]} and {shape[1]}")

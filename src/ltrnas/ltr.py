@@ -327,7 +327,7 @@ def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarr
 
     r2 = {ch: float("nan") for ch in CHANNELS}
     if len(hold_idx) >= 2:
-        preds, _ = nn.forward_heads(model, packed.take(hold_idx), CHANNELS)
+        preds, _ = nn.forward_heads(model, packed.select(hold_idx), CHANNELS)
         r2 = {ch: r_squared(preds[ch], normalizer.normalize(ch, weak[ch][hold_idx])) for ch in CHANNELS}
         curve.append(
             CurveRow(epoch=cfg.epochs, split="holdout",
@@ -384,9 +384,9 @@ def finetune(
     if not model.hp_fitted:
         # Fresh (non-transferred) model: fit hyper-parameter stats here.
         nn.set_hparam_stats(model, packed.hparams)
-    hold_batch = packed.take(hold_idx) if len(hold_idx) >= 2 else None
+    hold_batch = packed.select(hold_idx) if len(hold_idx) >= 2 else None
+    hold_ids, hold_rels = [ids[i] for i in hold_idx], rels_all[hold_idx]
     rels_train = rels_all[train_idx]
-    hold_ranked_entries = [(ids[i], float(rels_all[i])) for i in hold_idx]
 
     if loss == "mse":
         vals = accs[train_idx]
@@ -416,10 +416,7 @@ def finetune(
         if hold_batch is None:
             continue
         hold_scores, _ = nn.forward(model, hold_batch, "rank")
-        ranked = metrics.rank_by_score(
-            [(rid, float(s), rel) for (rid, rel), s in zip(hold_ranked_entries, hold_scores)]
-        )
-        val_ndcg = metrics.ndcg(ranked)
+        val_ndcg = metrics.ndcg(hold_scores, hold_rels, hold_ids)
         curve.append(CurveRow(epoch=row.epoch, split="holdout", ndcg=val_ndcg))
         if best_ndcg is None or val_ndcg > best_ndcg:
             best_ndcg = val_ndcg

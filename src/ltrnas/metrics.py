@@ -36,35 +36,6 @@ class RelevanceMap:
             raise ValueError(f"max_rel must be positive, got {self.max_rel}")
 
 
-@dataclass(frozen=True)
-class RankedItem:
-    id: str
-    score: float
-    rel: float
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Items in descending predicted-score order, ties broken by ascending id."""
-
-    items: tuple[RankedItem, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.items, self.items[1:]):
-            if (a.score, b.id) < (b.score, a.id):
-                raise ValueError(f"items not in (score desc, id asc) order at ids {a.id!r}, {b.id!r}")
-        for it in self.items:
-            if it.rel < 0:
-                raise ValueError(f"negative relevance {it.rel} for id {it.id!r}")
-
-    def __len__(self):
-        return len(self.items)
-
-    @property
-    def rels(self) -> np.ndarray:
-        return np.array([it.rel for it in self.items], dtype=np.float64)
-
-
 def rank_order(scores, ids: Sequence[str]) -> np.ndarray:
     """Item positions in descending score, ties broken by ascending id.
 
@@ -80,12 +51,6 @@ def rank_order(scores, ids: Sequence[str]) -> np.ndarray:
         raise ValueError(f"{s.shape} scores for {len(ids)} ids")
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     return by_id[np.argsort(-s[by_id], kind="stable")]
-
-
-def rank_by_score(entries: Sequence[tuple[str, float, float]]) -> RankedList:
-    """Build a RankedList from (id, score, rel) triples, in `rank_order`."""
-    order = rank_order([e[1] for e in entries], [e[0] for e in entries])
-    return RankedList(tuple(RankedItem(*entries[i]) for i in order))
 
 
 def fit_relevance_map(train_accs: Sequence[float], q: float = 0.2, max_rel: float = 20.0) -> RelevanceMap:
@@ -125,35 +90,36 @@ def dcg(rels_in_rank_order: Sequence[float]) -> float:
     return float(np.sum((np.exp2(rels) - 1.0) / np.log2(positions + 1.0)))
 
 
-def ndcg(ranked: RankedList, k: int | None = None) -> float:
-    """DCG of the model's order divided by the DCG of the relevance-descending
-    order (both truncated at k when given). Returns 1.0 with a
+def ndcg(scores, rels, ids: Sequence[str]) -> float:
+    """DCG of the relevances in `rank_order(scores, ids)` divided by the DCG
+    of the relevance-descending order. Returns 1.0 with a
     DegenerateRelevanceWarning when the ideal DCG is zero.
     """
-    if k is not None and k <= 0:
-        raise ValueError(f"cutoff k must be positive, got {k}")
-    rels = ranked.rels
-    cut = rels.size if k is None else min(k, rels.size)
-    ideal = np.sort(rels)[::-1]
-    idcg = dcg(ideal[:cut])
+    order = rank_order(scores, ids)
+    rels = np.asarray(rels, dtype=np.float64)
+    if rels.shape != order.shape:
+        raise ValueError(f"{rels.shape} relevances for {len(ids)} ids")
+    rels = rels[order]
+    idcg = dcg(np.sort(rels)[::-1])
     if idcg == 0.0:
         warnings.warn("all-zero relevance list: any order is ideal", DegenerateRelevanceWarning)
         return 1.0
-    return dcg(rels[:cut]) / idcg
+    return dcg(rels) / idcg
 
 
-def delta_ndcg(ranked: RankedList, i: int, j: int) -> float:
+def delta_ndcg(rels_in_rank_order, i: int, j: int) -> float:
     """|NDCG after swapping the items at 0-based positions i and j - NDCG before|.
 
     Uses the closed form |(gain_i - gain_j) * (disc_i - disc_j)| / IDCG, which
     equals a full recompute exactly in real arithmetic (all other terms cancel).
+    The per-pair reference for `pairwise_delta_ndcg`.
     """
-    n = len(ranked)
+    rels = np.asarray(rels_in_rank_order, dtype=np.float64)
+    n = rels.size
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"positions ({i}, {j}) out of range for list of length {n}")
     if i == j:
         raise ValueError("positions must differ")
-    rels = ranked.rels
     idcg = dcg(np.sort(rels)[::-1])
     if idcg == 0.0:
         return 0.0

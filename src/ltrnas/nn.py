@@ -191,16 +191,18 @@ class Packed:
         return len(self.nodes)
 
     def take(self, idx) -> "Packed":
-        """The items at positions `idx`, copied and padded to their own largest
-        node counts; a pack's adjacency rows are divided by their sums, giving
-        convex combinations for real nodes and +0.0 for padding."""
+        """The items at positions `idx` of a pack or a row selection, copied and
+        padded to their own largest node counts; adjacency rows are divided by
+        their sums, giving convex combinations for real nodes and +0.0 for
+        padding. A taken batch is refused, so no row is normalized twice."""
+        if self.prop[0].dtype != np.uint8:
+            raise ValueError("take needs a pack or a row selection, not a taken batch")
         nodes = self.nodes[idx]
         top = nodes.max(axis=0)
         rows = idx if self.rows is None else self.rows[idx]
         ops = tuple(o[rows, :m] for o, m in zip(self.ops, top))
         prop = tuple(q[rows, :m, :m] for q, m in zip(self.prop, top))
-        if prop[0].dtype == np.uint8:
-            prop = tuple(a / np.maximum(a.sum(axis=2, keepdims=True), 1) for a in prop)
+        prop = tuple(a / np.maximum(a.sum(axis=2, keepdims=True), 1) for a in prop)
         return Packed(ops, prop, nodes, self.hparams[idx], self.vocab_size)
 
     def select(self, idx) -> "Packed":
@@ -520,37 +522,33 @@ def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
 # optimizer and schedule
 # ---------------------------------------------------------------------------
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    names: Sequence[str] | None = None,
-) -> None:
-    """One Adam update over accumulated gradients (L2 added to the gradient),
-    with bias correction; clears gradients and bumps the step counter.
-    `names` restricts the update to a subset of parameters (frozen parameters
-    keep their exact values)."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr: float, names: Sequence[str], weight_decay: float = 0.0) -> None:
+    """One Adam update of the parameters `names` over their accumulated
+    gradients (L2 added to the gradient), with bias correction; clears those
+    gradients and bumps the step counter. Parameters not named keep their
+    exact values."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     store.step += 1
     store.version += 1
-    bc1 = 1.0 - beta1**store.step
-    bc2 = 1.0 - beta2**store.step
-    active = store.names() if names is None else sorted(set(names))
-    for name in active:
+    bc1 = 1.0 - ADAM_BETA1**store.step
+    bc2 = 1.0 - ADAM_BETA2**store.step
+    for name in sorted(set(names)):
         grad = store.grads[name]
         if weight_decay:
             grad = grad + weight_decay * store.params[name]
         m = store.moment1[name]
         v = store.moment2[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        store.params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        store.params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         store.grads[name][...] = 0.0
 
 

@@ -153,12 +153,9 @@ def _snapshot(
         rels = metrics.map_relevance(rmap, probe.val_accs)
     else:
         rels = np.ones(len(probe.ids))
-    ranked = metrics.rank_by_score(
-        [(rid, float(s), float(r)) for rid, s, r in zip(probe.ids, scores, rels)]
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", metrics.DegenerateRelevanceWarning)
-        ndcg_val = metrics.ndcg(ranked)
+        ndcg_val = metrics.ndcg(scores, rels, probe.ids)
     try:
         tau_val = metrics.kendall_tau(scores, probe.val_accs)
     except ValueError:

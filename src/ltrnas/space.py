@@ -28,8 +28,6 @@ import numpy as np
 
 from . import metrics
 
-PSEUDO_OPS = ("input", "output", "add", "concatenate")
-
 # Canonical middle-node vocabulary for synthetic spaces; extended with
 # numbered ops when a config asks for more.
 _SYNTH_MIDDLE_OPS = (
@@ -102,6 +100,11 @@ class SearchSpace:
     def ids(self) -> tuple[str, ...]:
         return tuple(self.records.keys())
 
+    @property
+    def n_cells(self) -> int:
+        """Cells per architecture, the same for every record (`_build_space`)."""
+        return len(next(iter(self.records.values())).arch.cells)
+
 
 @dataclass(frozen=True, slots=True)
 class EncodedArch:
@@ -111,7 +114,7 @@ class EncodedArch:
     vocab_size: int
 
 
-def validate_graph(g: ArchGraph, context: str = "") -> None:
+def _validate_graph(g: ArchGraph, context: str = "") -> None:
     """Check the cell-graph invariants; raise SpaceValidationError on the
     first violation. `context` (usually the record id) prefixes messages.
     """
@@ -173,7 +176,7 @@ def validate_graph(g: ArchGraph, context: str = "") -> None:
         raise SpaceValidationError(f"{where}nodes {missing} cannot reach output")
 
 
-def validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
+def _validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
     rid = rec.arch.id
     if len(rec.arch.hparams) != meta.hparam_dim:
         raise SpaceValidationError(
@@ -185,7 +188,7 @@ def validate_record(rec: BenchmarkRecord, meta: SpaceMeta) -> None:
     if not rec.arch.cells:
         raise SpaceValidationError(f"{rid}: architecture has no cells")
     for cell in rec.arch.cells:
-        validate_graph(cell, context=rid)
+        _validate_graph(cell, context=rid)
         for op in cell.nodes:
             if op not in meta.vocab:
                 raise SpaceValidationError(f"{rid}: op {op!r} not in declared vocabulary")
@@ -209,7 +212,7 @@ def _build_space(meta: SpaceMeta, records: Iterable[BenchmarkRecord]) -> SearchS
         rid = rec.arch.id
         if rid in table:
             raise SpaceValidationError(f"duplicate architecture id {rid!r}")
-        validate_record(rec, meta)
+        _validate_record(rec, meta)
         if cell_count is None:
             cell_count = len(rec.arch.cells)
         elif len(rec.arch.cells) != cell_count:
@@ -523,13 +526,13 @@ def generate_synthetic_space(cfg: SynthConfig) -> SearchSpace:
     return _build_space(meta, records)
 
 
-def calibrate_weak_labels(
-    space: SearchSpace,
-    target_tau: float,
-    seed: int,
-    tolerance: float = 0.05,
-    max_iters: int = 60,
-) -> SearchSpace:
+# Calibration accepts a tau within _CALIBRATION_TOLERANCE of the target and
+# bisects the noise amplitude at most _CALIBRATION_ITERS times.
+_CALIBRATION_TOLERANCE = 0.05
+_CALIBRATION_ITERS = 60
+
+
+def calibrate_weak_labels(space: SearchSpace, target_tau: float, seed: int) -> SearchSpace:
     """Fill ws_acc so its rank correlation with val_acc hits target_tau.
 
     Weak labels are a logistic rescaling of val_acc plus Gaussian noise; the
@@ -563,7 +566,7 @@ def calibrate_weak_labels(
 
     tau0, ws0 = measured_tau(0.0)
     best = (abs(tau0 - target_tau), 0.0, tau0, ws0)
-    if abs(tau0 - target_tau) > tolerance:
+    if abs(tau0 - target_tau) > _CALIBRATION_TOLERANCE:
         lo, hi = 0.0, base_sd
         tau_hi, _ = measured_tau(hi)
         grow = 0
@@ -571,19 +574,19 @@ def calibrate_weak_labels(
             hi *= 2.0
             tau_hi, _ = measured_tau(hi)
             grow += 1
-        for _ in range(max_iters):
+        for _ in range(_CALIBRATION_ITERS):
             mid = 0.5 * (lo + hi)
             tau_mid, ws_mid = measured_tau(mid)
             if abs(tau_mid - target_tau) < best[0]:
                 best = (abs(tau_mid - target_tau), mid, tau_mid, ws_mid)
-            if best[0] <= tolerance / 4.0:
+            if best[0] <= _CALIBRATION_TOLERANCE / 4.0:
                 break
             if tau_mid > target_tau:
                 lo = mid
             else:
                 hi = mid
     gap, _, _, ws = best
-    if gap > tolerance:
+    if gap > _CALIBRATION_TOLERANCE:
         raise failed(f"the closest tau reached is {best[2]:.4f}")
     records = [
         replace(rec, ws_acc=float(w)) for rec, w in zip(space.records.values(), ws)

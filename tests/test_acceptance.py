@@ -32,9 +32,9 @@ def report(num, ok, detail):
 # criteria 1-5: metric and gradient oracles
 # ---------------------------------------------------------------------------
 
-def _ranked(rels):
+def _ndcg_in_order(rels):
     n = len(rels)
-    return metrics.rank_by_score([(f"a{i:02d}", float(n - i), float(r)) for i, r in enumerate(rels)])
+    return metrics.ndcg([float(n - i) for i in range(n)], rels, [f"a{i:02d}" for i in range(n)])
 
 
 def test_criterion_01_ndcg_oracle_equivalence():
@@ -51,7 +51,7 @@ def test_criterion_01_ndcg_oracle_equivalence():
             ideal = max(metrics.dcg(perm) for perm in orderings)
             for perm in orderings:
                 brute = metrics.dcg(perm) / ideal if ideal > 0 else 1.0
-                worst = max(worst, abs(metrics.ndcg(_ranked(perm)) - brute))
+                worst = max(worst, abs(_ndcg_in_order(perm) - brute))
                 checked += 1
     elapsed = time.monotonic() - start
     report(
@@ -63,7 +63,7 @@ def test_criterion_01_ndcg_oracle_equivalence():
 
 def test_criterion_02_dcg_hand_values():
     d = metrics.dcg([3, 1, 2])
-    n = metrics.ndcg(_ranked([3, 1, 2]))
+    n = _ndcg_in_order([3, 1, 2])
     ok = abs(d - 9.13093) <= 1e-5 and abs(n - 0.97212) <= 1e-5
     report(2, ok, f"dcg([3,1,2])={d:.6f} (want 9.13093), ndcg={n:.6f} (want 0.97212)")
 
@@ -145,7 +145,6 @@ def test_criterion_04_lambdarank_factorization():
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
         pos = np.empty(n, dtype=int)
         pos[order] = np.arange(n)
-        ranked = metrics.rank_by_score([(ids[i], float(scores[i]), float(rels[i])) for i in range(n)])
         ranked_rels = np.asarray([rels[i] for i in order])
         idcg = metrics.dcg(np.sort(ranked_rels)[::-1])
 
@@ -158,7 +157,7 @@ def test_criterion_04_lambdarank_factorization():
             for j in range(n):
                 if rels[i] > rels[j]:
                     rn = -sigma / (1.0 + np.exp(sigma * (scores[i] - scores[j])))
-                    delta = metrics.delta_ndcg(ranked, int(pos[i]), int(pos[j]))
+                    delta = metrics.delta_ndcg(ranked_rels, int(pos[i]), int(pos[j]))
                     factored[i] += rn * delta
                     factored[j] -= rn * delta
                     swapped = ranked_rels.copy()
@@ -368,9 +367,8 @@ def test_criterion_10_benchmark_file_optional():
     bench = space.load_space(NB201_PATH)
     if any(r.ws_acc is None for r in bench.records.values()):
         bench = space.calibrate_weak_labels(bench, 0.6, seed=7)
-    n_cells = len(next(iter(bench.records.values())).arch.cells)
     model_cfg = nn.ModelConfig(
-        vocab_size=len(bench.meta.vocab), hparam_dim=bench.meta.hparam_dim, n_cells=n_cells,
+        vocab_size=len(bench.meta.vocab), hparam_dim=bench.meta.hparam_dim, n_cells=bench.n_cells,
         conv_channels=(64, 64, 64, 64), sortpool_nodes=12, conv1d_channels=16,
         hparam_proj=8, head_hidden=64, dropout=0.1, seed=300,
     )

@@ -293,10 +293,22 @@ class TestSearch:
         assert run(*argv) == EXIT_CONFIG
         assert "re-run pretrain" in capsys.readouterr().err
 
-    def test_zero_rounds_is_config_error(self, tmp_path, space_dir, pretrain_dir):
+    def test_zero_rounds_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
         argv = search_args(space_dir, pretrain_dir, tmp_path / "zero")
         argv[argv.index("--rounds") + 1] = "0"
         assert run(*argv) == EXIT_CONFIG
+        assert "--rounds must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,least", [("rounds", "-3", 1), ("probe-size", "-5", 0), ("patience", "-1", 0)])
+    def test_out_of_range_flag_is_config_error_naming_it(self, tmp_path, space_dir, pretrain_dir, capsys,
+                                                          flag, value, least):
+        # a negative probe size used to run without a probe, and a negative
+        # patience to turn early stopping off; 0 still disables either
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "bad")
+        argv[argv.index(f"--{flag}") + 1] = value
+        assert run(*argv) == EXIT_CONFIG
+        assert f"--{flag} must be >= {least}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_failed_write_leaves_no_summary(self, tmp_path, space_dir, pretrain_dir, monkeypatch, capsys):
         # summary.json is written last, so `report` never reads a run that died halfway

@@ -225,7 +225,7 @@ class TestLambdarankLambdas:
         order = sorted(range(12), key=lambda i: (-s[i], ids[i]))
         pos = np.empty(12, dtype=int)
         pos[order] = np.arange(12)
-        ranked = metrics.rank_by_score([(ids[i], float(s[i]), float(r[i])) for i in range(12)])
+        ranked_rels = r[order]
         lam_full = lambdarank_lambdas(s, r, sigma=1.0, ids=ids)
         # rebuild from the definition: ranknet pair values times delta_ndcg
         coeff = np.zeros(12)
@@ -233,7 +233,7 @@ class TestLambdarankLambdas:
             for j in range(12):
                 if r[i] > r[j]:
                     pair = -1.0 / (1.0 + np.exp(s[i] - s[j]))
-                    pair *= metrics.delta_ndcg(ranked, int(pos[i]), int(pos[j]))
+                    pair *= metrics.delta_ndcg(ranked_rels, int(pos[i]), int(pos[j]))
                     coeff[i] += pair
                     coeff[j] -= pair
         np.testing.assert_allclose(lam_full, coeff, atol=1e-12)
@@ -380,7 +380,7 @@ class TestFinetune:
         def probe_ndcg(model, rmap):
             scores, _ = nn.forward(model, eval_encs, "rank")
             rels = metrics.map_relevance(rmap, eval_vals)
-            return metrics.ndcg(metrics.rank_by_score(list(zip(eval_ids, scores, rels))))
+            return metrics.ndcg(scores, rels, eval_ids)
 
         trained, untrained = [], []
         for seed in range(10):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,25 +21,23 @@ from ltrnas.metrics import (
     ndcg,
     pairwise_delta_ndcg,
     pearson,
-    rank_by_score,
     rank_order,
     top_k_regret,
 )
 
 
-def ranked_from_rels(rels):
-    """RankedList whose model order is exactly the given relevance order."""
+def ndcg_in_order(rels):
+    """NDCG of a list whose model order is exactly the given relevance order."""
     n = len(rels)
-    return rank_by_score([(f"a{i:02d}", float(n - i), float(r)) for i, r in enumerate(rels)])
+    return ndcg([float(n - i) for i in range(n)], rels, [f"a{i:02d}" for i in range(n)])
 
 
-def brute_force_ndcg(rels, k=None):
+def brute_force_ndcg(rels):
     """Oracle: DCG of the given order divided by the max DCG over every ordering."""
-    cut = len(rels) if k is None else min(k, len(rels))
-    best = max(dcg(list(perm)[:cut]) for perm in itertools.permutations(rels))
+    best = max(dcg(list(perm)) for perm in itertools.permutations(rels))
     if best == 0.0:
         return 1.0
-    return dcg(list(rels)[:cut]) / best
+    return dcg(list(rels)) / best
 
 
 def brute_force_tau(a, b):
@@ -143,81 +142,93 @@ class TestDcg:
 
 class TestNdcg:
     def test_sorted_list_is_one(self):
-        assert ndcg(ranked_from_rels([4, 3, 2, 0])) == pytest.approx(1.0)
+        assert ndcg_in_order([4, 3, 2, 0]) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        assert ndcg(ranked_from_rels([3, 1, 2])) == pytest.approx(0.97212, abs=1e-5)
+        assert ndcg_in_order([3, 1, 2]) == pytest.approx(0.97212, abs=1e-5)
 
     def test_matches_brute_force_on_random_lists(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             rels = rng.integers(0, 5, size=6).astype(float)
-            got = ndcg(ranked_from_rels(rels))
+            got = ndcg_in_order(rels)
             assert got == pytest.approx(brute_force_ndcg(rels), abs=1e-12)
-
-    def test_cutoff(self):
-        rels = [0.0, 3.0, 1.0, 2.0]
-        assert ndcg(ranked_from_rels(rels), k=2) == pytest.approx(brute_force_ndcg(rels, k=2), abs=1e-12)
-
-    def test_invalid_cutoff(self):
-        with pytest.raises(ValueError):
-            ndcg(ranked_from_rels([1, 2]), k=0)
 
     def test_degenerate_all_zero(self):
         with pytest.warns(DegenerateRelevanceWarning):
-            assert ndcg(ranked_from_rels([0, 0, 0])) == 1.0
+            assert ndcg_in_order([0, 0, 0]) == 1.0
 
     def test_bounds_and_equality_condition_exhaustive(self):
         # 0 <= ndcg <= 1 and ndcg == 1 iff relevance-descending, for every
         # permutation of short lists with positive ideal gain
         for rels in [(3, 1, 0), (2, 2, 1), (4, 0, 0, 1), (1, 2, 3, 4)]:
             for perm in itertools.permutations(rels):
-                value = ndcg(ranked_from_rels(perm))
+                value = ndcg_in_order(perm)
                 assert 0.0 <= value <= 1.0 + 1e-12
                 is_sorted = all(perm[i] >= perm[i + 1] for i in range(len(perm) - 1))
                 assert (abs(value - 1.0) < 1e-12) == is_sorted
 
+    def test_ranks_by_score_then_id(self):
+        # equal scores rank by ascending id, so "a" (rel 1) precedes "b" (rel 2)
+        got = ndcg([1.0, 1.0, 2.0], [2.0, 1.0, 0.0], ["b", "a", "c"])
+        assert got == dcg([0.0, 1.0, 2.0]) / dcg([2.0, 1.0, 0.0])
+
+    def test_rejects_mismatched_lengths_and_negative_relevance(self):
+        with pytest.raises(ValueError):
+            ndcg([1.0, 2.0], [1.0], ["a", "b"])
+        with pytest.raises(ValueError):
+            ndcg([1.0, 2.0], [1.0, -0.5], ["a", "b"])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 3.0, 20.0])),
+                    min_size=1, max_size=30), st.randoms(use_true_random=False))
+    def test_same_bits_when_items_are_permuted_together(self, items, rnd):
+        ids = [f"a{i:02d}" for i in range(len(items))]
+        scores, rels = map(list, zip(*items))
+        perm = list(range(len(items)))
+        rnd.shuffle(perm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateRelevanceWarning)
+            before = ndcg(scores, rels, ids)
+            after = ndcg([scores[i] for i in perm], [rels[i] for i in perm], [ids[i] for i in perm])
+        assert np.float64(before).view(np.int64) == np.float64(after).view(np.int64)
+
 
 class TestDeltaNdcg:
     def test_equal_relevance_swap_is_zero(self):
-        lst = ranked_from_rels([2, 2, 1])
-        assert delta_ndcg(lst, 0, 1) == 0.0
+        assert delta_ndcg([2, 2, 1], 0, 1) == 0.0
 
     def test_top_swap_positive(self):
-        lst = ranked_from_rels([0, 5, 1])
-        assert delta_ndcg(lst, 0, 1) > 0.0
+        assert delta_ndcg([0, 5, 1], 0, 1) > 0.0
 
     def test_symmetry_and_recompute_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(2, 8))
             rels = rng.uniform(0, 4, size=n)
-            lst = ranked_from_rels(rels)
             i, j = rng.choice(n, size=2, replace=False)
-            d_ij = delta_ndcg(lst, int(i), int(j))
-            d_ji = delta_ndcg(lst, int(j), int(i))
+            d_ij = delta_ndcg(rels, int(i), int(j))
+            d_ji = delta_ndcg(rels, int(j), int(i))
             assert d_ij == d_ji >= 0.0
             swapped = rels.copy()
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            full = abs(ndcg(ranked_from_rels(swapped)) - ndcg(lst))
+            full = abs(ndcg_in_order(swapped) - ndcg_in_order(rels))
             assert d_ij == pytest.approx(full, abs=1e-12)
 
     def test_pairwise_matrix_matches_scalar(self):
         rng = np.random.default_rng(13)
         rels = rng.uniform(0, 4, size=9)
-        lst = ranked_from_rels(rels)
         mat = pairwise_delta_ndcg(rels)
         for i in range(9):
             for j in range(9):
                 if i != j:
-                    assert mat[i, j] == pytest.approx(delta_ndcg(lst, i, j), abs=1e-15)
+                    assert mat[i, j] == pytest.approx(delta_ndcg(rels, i, j), abs=1e-15)
 
     def test_position_validation(self):
-        lst = ranked_from_rels([1, 2])
         with pytest.raises(IndexError):
-            delta_ndcg(lst, 0, 5)
+            delta_ndcg([1, 2], 0, 5)
         with pytest.raises(ValueError):
-            delta_ndcg(lst, 1, 1)
+            delta_ndcg([1, 2], 1, 1)
 
 
 _TIED_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0])
@@ -350,16 +361,6 @@ class TestTopKRegret:
     def test_empty_selection(self):
         with pytest.raises(ValueError):
             top_k_regret([], _Space([1.0]), k=1)
-
-
-class TestRankedList:
-    def test_tie_break_by_id(self):
-        lst = rank_by_score([("b", 1.0, 2.0), ("a", 1.0, 1.0), ("c", 2.0, 0.0)])
-        assert [it.id for it in lst.items] == ["c", "a", "b"]
-
-    def test_negative_relevance_rejected(self):
-        with pytest.raises(ValueError):
-            rank_by_score([("a", 1.0, -0.5)])
 
 
 # Ids with a shared prefix, tails of different lengths, non-ASCII characters

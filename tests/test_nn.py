@@ -199,7 +199,7 @@ class TestPacked:
         model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
         model.store.params["nodeconv.bias"][0] = 0.3  # empty pooled slots pass the ReLU
         batch = [encs[i] for i in picks]
-        packed = nn.pack(encs).take(picks)
+        packed = nn.pack(encs).select(picks)
         runs = [forward_heads(model, nn.pack(batch), HEADS)[0], forward_heads(model, packed, HEADS)[0],
                 forward_heads(model, packed, HEADS, train_mode=True)[0]]
         for head in HEADS:
@@ -215,7 +215,7 @@ class TestPacked:
         cfg, encs = mixed_encs[n_cells]
         model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
         model.store.params["nodeconv.bias"][0] = 0.3
-        packed = nn.pack(encs).take(picks)
+        packed = nn.pack(encs).select(picks)
         alone = {head: np.array([forward(model, nn.pack([encs[i]]), head)[0][0] for i in picks]) for head in HEADS}
         chunks, dense = [], nn._dense_forward
         def counted(model, chunk, *args):
@@ -256,9 +256,9 @@ class TestPacked:
         packed = nn.pack([space.encode_architecture(r.arch, sp.meta.vocab) for r in sp.records.values()])
         model = build_model(ModelConfig(vocab_size=9, hparam_dim=2, conv_channels=(64,) * 4, sortpool_nodes=12,
                                         conv1d_channels=16, hparam_proj=8, head_hidden=64))
-        forward(model, packed.take(np.arange(100)))
+        forward(model, packed.select(np.arange(100)))
         peaks = []
-        for pool in (packed, packed.take(np.tile(np.arange(1000), 3))):
+        for pool in (packed, packed.select(np.tile(np.arange(1000), 3))):
             tracemalloc.start()
             forward(model, pool)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -309,6 +309,16 @@ class TestPacked:
                 alone, alone_selected = nn._sort_pool(z[b : b + 1, :n], k)
                 np.testing.assert_array_equal(selected[b, : min(n, k)], alone_selected[0])
                 np.testing.assert_array_equal(pooled[b].view(np.int64), alone[0].view(np.int64))
+
+    def test_take_of_a_taken_batch_raises(self, mixed_encs):
+        # a taken batch is already row-normalized, so taking from it again
+        # would normalize twice
+        _, encs = mixed_encs[1]
+        part = nn.pack(encs).take([0, 1, 2])
+        with pytest.raises(ValueError, match="taken batch"):
+            part.take([0])
+        with pytest.raises(ValueError, match="taken batch"):
+            forward(build_model(TINY), part)
 
     def test_take_trims_padding(self, mixed_encs):
         _, encs = mixed_encs[1]
@@ -548,7 +558,7 @@ class TestBackward:
         m = build_model(TINY)
         s, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=3)
         backward(m, {"rank": np.ones(2)}, ctx)
-        adam_step(m.store, lr=0.01)
+        adam_step(m.store, lr=0.01, names=m.store.names())
         with pytest.raises(ValueError, match="stale"):
             backward(m, {"rank": np.ones(2)}, ctx)
 
@@ -556,13 +566,13 @@ class TestBackward:
 class TestAdam:
     def test_zero_grad_no_motion(self):
         store = ParamStore({"w": np.array([1.0, -2.0])})
-        adam_step(store, lr=0.1, weight_decay=0.0)
+        adam_step(store, lr=0.1, names=["w"], weight_decay=0.0)
         np.testing.assert_array_equal(store.params["w"], [1.0, -2.0])
 
     def test_first_step_hand_value(self):
         store = ParamStore({"w": np.array([1.0])})
         store.grads["w"][...] = 1.0
-        adam_step(store, lr=0.1)
+        adam_step(store, lr=0.1, names=["w"])
         assert store.params["w"][0] == pytest.approx(0.9, abs=1e-6)
 
     def test_deterministic(self):
@@ -570,7 +580,7 @@ class TestAdam:
             store = ParamStore({"w": np.arange(4.0)})
             for step in range(5):
                 store.grads["w"][...] = np.sin(np.arange(4.0) + step)
-                adam_step(store, lr=0.05, weight_decay=0.01)
+                adam_step(store, lr=0.05, names=["w"], weight_decay=0.01)
             return store.params["w"].copy()
 
         np.testing.assert_array_equal(run(), run())
@@ -578,13 +588,13 @@ class TestAdam:
     def test_grads_cleared_and_step_counted(self):
         store = ParamStore({"w": np.array([1.0])})
         store.grads["w"][...] = 3.0
-        adam_step(store, lr=0.1)
+        adam_step(store, lr=0.1, names=["w"])
         assert store.step == 1
         assert np.all(store.grads["w"] == 0.0)
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            adam_step(ParamStore({"w": np.zeros(1)}), lr=0.0)
+            adam_step(ParamStore({"w": np.zeros(1)}), lr=0.0, names=["w"])
 
     def test_name_filter_freezes_others(self):
         store = ParamStore({"a": np.array([1.0]), "b": np.array([1.0])})

@@ -28,7 +28,7 @@ from ltrnas.space import (
     generate_synthetic_space,
     load_space,
     save_space,
-    validate_graph,
+    _validate_graph,
 )
 
 VOCAB = ("input", "output", "add", "conv1x1", "conv3x3")
@@ -225,7 +225,7 @@ class TestSpaceRoundTrip:
 
 
 def _graph_errors(g):
-    """The message `validate_graph` must raise for `g` (None if valid),
+    """The message `_validate_graph` must raise for `g` (None if valid),
     checked in its order against a brute-force transitive closure."""
     n = len(g.nodes)
     if n == 0:
@@ -284,36 +284,36 @@ class TestGraphInvariants:
     def test_matches_transitive_closure(self, g):
         expected = _graph_errors(g)
         if expected is None:
-            validate_graph(g)
+            _validate_graph(g)
         else:
             with pytest.raises(SpaceValidationError) as err:
-                validate_graph(g)
+                _validate_graph(g)
             assert str(err.value) == expected
 
     def test_requires_single_input_output(self):
         g = ArchGraph(nodes=("input", "input", "output"), edges=((0, 2), (1, 2)))
         with pytest.raises(SpaceValidationError, match="exactly one"):
-            validate_graph(g)
+            _validate_graph(g)
 
     def test_unreachable_node(self):
         g = ArchGraph(nodes=("input", "conv3x3", "output"), edges=((0, 2), (1, 2)))
         with pytest.raises(SpaceValidationError, match="unreachable"):
-            validate_graph(g)
+            _validate_graph(g)
 
     def test_dead_end_node(self):
         g = ArchGraph(nodes=("input", "conv3x3", "output"), edges=((0, 1), (0, 2)))
         with pytest.raises(SpaceValidationError, match="cannot reach output"):
-            validate_graph(g)
+            _validate_graph(g)
 
     def test_self_edge(self):
         g = ArchGraph(nodes=("input", "conv3x3", "output"), edges=((0, 1), (1, 1), (1, 2)))
         with pytest.raises(SpaceValidationError, match="self-edge"):
-            validate_graph(g)
+            _validate_graph(g)
 
     def test_edge_out_of_range(self):
         g = ArchGraph(nodes=("input", "output"), edges=((0, 5),))
         with pytest.raises(SpaceValidationError, match="out of range"):
-            validate_graph(g)
+            _validate_graph(g)
 
 
 def _incoming(enc):
@@ -366,8 +366,8 @@ class TestEncode:
         for old, new in enumerate(perm):
             nodes_p[new] = cell.nodes[old]
         relabeled = ArchGraph(nodes=tuple(nodes_p), edges=tuple((perm[s], perm[d]) for s, d in cell.edges))
-        validate_graph(cell)
-        validate_graph(relabeled)
+        _validate_graph(cell)
+        _validate_graph(relabeled)
         ea = encode_architecture(Architecture(id="a", cells=cells, hparams=()), VOCAB)
         eb = encode_architecture(Architecture(id="b", cells=(relabeled,), hparams=()), VOCAB)
         p = np.asarray(perm)
