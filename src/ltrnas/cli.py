@@ -252,12 +252,12 @@ def cmd_pretrain(args) -> int:
 
 def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) -> list[list]:
     """Per round: the budget spent so far, the best val_acc so far and the
-    test accuracy of its holder, picked in `metrics.rank_order`."""
+    test accuracy of its holder (`SearchTrace.best`)."""
     rows = []
     for rnd in sorted({e.round for e in trace.entries}):
-        seen = [e for e in trace.entries if e.round <= rnd]
-        best = seen[metrics.rank_order([e.val_acc for e in seen], [e.arch_id for e in seen])[0]]
-        rows.append([rnd, len(seen), best.val_acc, bench.records[best.arch_id].test_acc])
+        best = trace.best(rnd)
+        spent = sum(e.round <= rnd for e in trace.entries)
+        rows.append([rnd, spent, best.val_acc, bench.records[best.arch_id].test_acc])
     return rows
 
 
@@ -283,12 +283,7 @@ def cmd_search(args) -> int:
 
     final_model = None
     if baseline == "ws-greedy":
-        selected = search.ws_greedy_baseline(bench, args.budget)
-        trace = search.SearchTrace(config=scfg)
-        for rec in selected:
-            trace.entries.append(
-                search.TraceEntry(round=1, arch_id=rec.arch.id, origin="ws-greedy", val_acc=rec.val_acc)
-            )
+        trace = search.ws_greedy_baseline(bench, args.budget)
     elif baseline == "random":
         _, trace = search.iterative_search(search.SearchView(bench), None, scfg)
     else:
@@ -345,23 +340,22 @@ def cmd_search(args) -> int:
 
 def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg: dict, baseline: str) -> dict:
     best_val_space = max(r.val_acc for r in bench.records.values())
-    chosen = bench.records[trace.chosen_id]
+    best = trace.best()
+    chosen = bench.records[best.arch_id]
     top = [bench.records[rid] for rid in trace.final_top_k]
-    iterative = [e for e in trace.entries if e.origin != "topk"]
-    best_val_iter = max(e.val_acc for e in iterative)
-    best_val_all = max(e.val_acc for e in trace.entries)
+    best_val_iter = max(e.val_acc for e in trace.entries if e.origin != "topk")
     last = trace.round_metrics[-1] if trace.round_metrics else None
     return {
         "config_hash": _config_hash(run_cfg),
         "baseline": baseline,
         "seed": run_cfg["seed"],
-        "chosen_id": trace.chosen_id,
+        "chosen_id": best.arch_id,
         "final_test_acc": chosen.test_acc,
         "chosen_test_regret": metrics.top_k_regret([chosen], bench, 1),
         "topk_best_test_acc": max(r.test_acc for r in top) if top else None,
         "topk_test_regret": metrics.top_k_regret(top, bench, len(top)) if top else None,
         "val_regret_iterative": best_val_space - best_val_iter,
-        "val_regret_final": best_val_space - best_val_all,
+        "val_regret_final": best_val_space - best.val_acc,
         "final_ndcg": None if last is None else last.ndcg,
         "final_tau": None if last is None else last.tau,
         "final_top_k": list(trace.final_top_k),
@@ -530,6 +524,9 @@ def _apply_config_file(parser, registry, argv) -> argparse.Namespace:
         raise CliConfigError(f"{path}: invalid JSON ({e.msg})") from e
     if not isinstance(overrides, dict):
         raise CliConfigError(f"{path}: config must be a JSON object")
+    command = overrides.pop("command", args.command)  # every run_config.json records it
+    if command != args.command:
+        raise CliConfigError(f"{path}: config is for command {command!r}, not {args.command!r}")
     sub = registry[args.command]
     actions = {a.dest: a for a in sub._actions if a.dest != "help"}
     unknown = sorted(set(overrides) - set(actions))

@@ -61,6 +61,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        for name in ("lr0", "weight_decay", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr0 <= 0 or self.sigma <= 0:
             raise ValueError("lr0 and sigma must be positive")
         if self.weight_decay < 0:

@@ -8,10 +8,11 @@ is the model's. Without a model the same loop is the budget-matched random
 baseline: every pick, the final k included, is uniform. The search sees
 validation accuracy only, and only for sampled ids; test accuracy enters
 exactly once, in finalize. The ws-greedy baseline is a one-shot selector
-outside the loop.
+outside the loop that returns a one-round trace.
 
-The trace is a pure function of (space, config, seed): replaying the same
-inputs reproduces it byte for byte.
+A search is the entries of its trace; the final top-k, the chosen id and
+every best-so-far derive from them (`SearchTrace.best`). The trace is a pure
+function of (space, config, seed), reproduced byte for byte on replay.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class SearchConfig:
 class TraceEntry:
     round: int
     arch_id: str
-    origin: str          # "random" | "model" | "topk"
+    origin: str          # "random" | "model" | "topk" | "ws-greedy"
     val_acc: float
 
 
@@ -66,14 +67,22 @@ class RoundMetrics:
 
 @dataclass
 class SearchTrace:
-    config: SearchConfig
     entries: list[TraceEntry] = field(default_factory=list)
     round_metrics: list[RoundMetrics] = field(default_factory=list)
-    final_top_k: tuple[str, ...] = ()
-    chosen_id: str | None = None
 
     def sampled_ids(self) -> list[str]:
         return [e.arch_id for e in self.entries]
+
+    @property
+    def final_top_k(self) -> tuple[str, ...]:
+        return tuple(e.arch_id for e in self.entries if e.origin == "topk")
+
+    def best(self, through_round: int | None = None) -> TraceEntry:
+        """The best-validation entry of rounds through `through_round` (all if None), in `metrics.rank_order`."""
+        seen = [e for e in self.entries if through_round is None or e.round <= through_round]
+        if not seen:
+            raise ValueError("empty trace")
+        return seen[metrics.rank_order([e.val_acc for e in seen], [e.arch_id for e in seen])[0]]
 
 
 class SearchView:
@@ -187,51 +196,41 @@ def iterative_search(
     if model is not None and train_cfg is None:
         raise ValueError("a model needs a finetune config")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EA6]))
-    trace = SearchTrace(config=cfg)
-    unlabeled = list(view.ids)
-    labeled: list[str] = []
-    accs: list[float] = []
+    trace = SearchTrace()
     current = model
-    best_val = -np.inf
     n_exploit = 0 if model is None else int(cfg.exploit_fraction * cfg.per_round)
 
+    def unlabeled() -> list[str]:
+        seen = set(trace.sampled_ids())
+        return [rid for rid in view.ids if rid not in seen]
+
+    def reveal(rnd: int, ids: Sequence[str], origin: str) -> None:
+        trace.entries += [TraceEntry(rnd, rid, origin, view.reveal_val(rid)) for rid in ids]
+
     for rnd in range(1, cfg.rounds + 1):
-        picks: list[tuple[str, str]] = []
-        if rnd > 1 and n_exploit:
-            picks = [(rid, "model") for rid, _ in select_top_k(current, view.pool(unlabeled), n_exploit)]
-        taken = {rid for rid, _ in picks}
-        remaining = [rid for rid in unlabeled if rid not in taken]
-        n_random = cfg.per_round - len(picks)
+        n_model = n_exploit if rnd > 1 else 0
+        if n_model:
+            reveal(rnd, [rid for rid, _ in select_top_k(current, view.pool(unlabeled()), n_model)], "model")
+        n_random = cfg.per_round - n_model
         if n_random:
-            picks += [(rid, "random") for rid in draw_ids(rng, remaining, n_random)]
-        for rid, origin in picks:
-            val = view.reveal_val(rid)
-            trace.entries.append(TraceEntry(round=rnd, arch_id=rid, origin=origin, val_acc=val))
-            labeled.append(rid)
-            accs.append(val)
-            best_val = max(best_val, val)
-        taken = {rid for rid, _ in picks}
-        unlabeled = [rid for rid in unlabeled if rid not in taken]
+            reveal(rnd, draw_ids(rng, unlabeled(), n_random), "random")
 
         ndcg_val = tau_val = None
         if model is not None:
-            result = ltr.finetune(model, view.pool(labeled).batch, labeled, accs,
+            labeled = trace.sampled_ids()
+            result = ltr.finetune(model, view.pool(labeled).batch, labeled, [e.val_acc for e in trace.entries],
                                   replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss)
             current = result.model
             ndcg_val, tau_val = _snapshot(current, probe, result.relevance_map)
         trace.round_metrics.append(
-            RoundMetrics(round=rnd, ndcg=ndcg_val, tau=tau_val, best_val_so_far=best_val)
+            RoundMetrics(round=rnd, ndcg=ndcg_val, tau=tau_val, best_val_so_far=trace.best(rnd).val_acc)
         )
 
     if model is None:
-        top = draw_ids(rng, unlabeled, cfg.top_k)
+        top = draw_ids(rng, unlabeled(), cfg.top_k)
     else:
-        top = [rid for rid, _ in select_top_k(current, view.pool(unlabeled), cfg.top_k)]
-    trace.final_top_k = tuple(top)
-    for rid in top:
-        trace.entries.append(
-            TraceEntry(round=cfg.rounds + 1, arch_id=rid, origin="topk", val_acc=view.reveal_val(rid))
-        )
+        top = [rid for rid, _ in select_top_k(current, view.pool(unlabeled()), cfg.top_k)]
+    reveal(cfg.rounds + 1, top, "topk")
 
     sampled = trace.sampled_ids()
     if len(set(sampled)) != cfg.budget or len(sampled) != cfg.budget:
@@ -242,17 +241,13 @@ def iterative_search(
 def finalize(trace: SearchTrace, space: SearchSpace) -> tuple[Architecture, float]:
     """Pick the best-validation architecture among everything sampled and
     report its test accuracy (the single test-set read of a search)."""
-    if not trace.entries:
-        raise ValueError("empty trace")
-    best = trace.entries[metrics.rank_order([e.val_acc for e in trace.entries], trace.sampled_ids())[0]]
-    trace.chosen_id = best.arch_id
-    rec = space.records[best.arch_id]
+    rec = space.records[trace.best().arch_id]
     return rec.arch, rec.test_acc
 
 
-def ws_greedy_baseline(space: SearchSpace, budget: int):
+def ws_greedy_baseline(space: SearchSpace, budget: int) -> SearchTrace:
     """Greedy selection by weak label: the `budget` records with the highest
-    super-net style accuracy (ties broken by id)."""
+    super-net style accuracy (ties broken by id), as a one-round trace."""
     if budget < 1 or budget > len(space):
         raise ValueError(f"budget {budget} out of range for space of {len(space)}")
     missing = [rid for rid, rec in space.records.items() if rec.ws_acc is None]
@@ -260,5 +255,4 @@ def ws_greedy_baseline(space: SearchSpace, budget: int):
         raise SpaceValidationError(f"{len(missing)} records have no weak label (e.g. {missing[0]!r})")
     recs = list(space.records.values())
     order = metrics.rank_order([r.ws_acc for r in recs], [r.arch.id for r in recs])
-    return [recs[i] for i in order[:budget]]
-
+    return SearchTrace([TraceEntry(1, recs[i].arch.id, "ws-greedy", recs[i].val_acc) for i in order[:budget]])

@@ -588,7 +588,6 @@ def calibrate_weak_labels(space: SearchSpace, target_tau: float, seed: int) -> S
     gap, _, _, ws = best
     if gap > _CALIBRATION_TOLERANCE:
         raise failed(f"the closest tau reached is {best[2]:.4f}")
-    records = [
-        replace(rec, ws_acc=float(w)) for rec, w in zip(space.records.values(), ws)
-    ]
-    return _build_space(space.meta, records)
+    # only ws_acc changes, and it is finite and clipped to [0, 100]: no record needs validating again
+    calibrated = {rid: replace(rec, ws_acc=float(w)) for (rid, rec), w in zip(space.records.items(), ws)}
+    return SearchSpace(space.meta, calibrated)

@@ -253,7 +253,7 @@ def experiment():
             })
 
     greedy = search.ws_greedy_baseline(sp, 100)
-    greedy_val_regret = best_val - max(r.val_acc for r in greedy)
+    greedy_val_regret = best_val - max(e.val_acc for e in greedy.entries)
     return {
         "runs": runs,
         "measured_tau": measured_tau,

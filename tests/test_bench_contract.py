@@ -4,15 +4,22 @@
 `bench/run.py` fails a traced command whose span counts differ from the
 ones it expects. A span name that no longer exists counts 0, so a rename
 in `src/` shows up only when the traced bench runs; these tests read the
-names out of both files and fail at once instead.
+names out of both files and fail at once instead. The tracer's ATTRS
+functions also bind parameters by name and read fields of results, which
+would fail with a KeyError or AttributeError in the traced bench alone;
+these tests check the parameter names and run the tracer over a tiny search.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
+
+from ltrnas import cli, ltr, nn, search, space  # noqa: F401 - the tracer wraps every traced module
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -76,3 +83,54 @@ def test_expected_counts_name_traced_functions(name):
 @pytest.mark.parametrize("name", sorted(tracer_span_names()))
 def test_tracer_reads_traced_functions(name):
     assert is_traced_function(name), f"bench/tracer.py reads spans of {name}, which is not a public ltrnas function"
+
+
+def attrs_parameters():
+    """(span name, key) for every `a["key"]` that an ATTRS function reads off its call's bound arguments."""
+    tree = _tree("tracer.py")
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "ATTRS" for t in node.targets):
+            for key, value in zip(node.value.keys, node.value.values):
+                for sub in ast.walk(functions[value.id]):
+                    if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name) and sub.value.id == "a"
+                            and isinstance(sub.slice, ast.Constant)):
+                        pairs.add((key.value, sub.slice.value))
+    return pairs
+
+
+def test_attrs_parameters_are_found():
+    assert {("nn.forward_heads", "train_mode"), ("search.select_top_k", "pool")} <= attrs_parameters()
+
+
+@pytest.mark.parametrize("name, key", sorted(attrs_parameters()))
+def test_attrs_read_live_parameters(name, key):
+    module_name, _, attr = name.partition(".")
+    fn = getattr(importlib.import_module(f"ltrnas.{module_name}"), attr)
+    assert key in inspect.signature(fn).parameters, f"bench/tracer.py binds {key!r}, which {name} does not take"
+
+
+def test_tracer_records_attrs_of_a_search(monkeypatch):
+    # every ATTRS function runs on real calls: finetune curves, pools, forwards
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)  # dataclasses look their module up there
+    spec.loader.exec_module(tracer_mod)
+    sp = space.calibrate_weak_labels(space.generate_synthetic_space(space.SynthConfig(size=60, seed=2)), 0.7, seed=3)
+    model = nn.build_model(nn.ModelConfig(vocab_size=7, hparam_dim=2, conv_channels=(8,), sortpool_nodes=4,
+                                          conv1d_channels=4, hparam_proj=2, head_hidden=8, seed=1))
+    tracer = tracer_mod.Tracer()
+    tracer.begin(0)
+    tracer.install()
+    try:
+        search.iterative_search(search.SearchView(sp), model, search.SearchConfig(per_round=10, rounds=2, top_k=2),
+                                ltr.TrainConfig(epochs=3, early_stop_patience=None), probe=search.make_probe(sp, 20, 0))
+    finally:
+        tracer.uninstall()
+    spans = tracer.invocations[0]
+    for name in tracer_mod.ATTRS:
+        named = [s for s in spans if s.name == name]
+        assert named and all(s.attrs for s in named), name
+    per_layer, _ = tracer_mod.layer_metrics(spans)
+    assert per_layer["ltr.finetune_epochs"] == 6 and per_layer["search.select_top_k_calls"] == 2

@@ -335,6 +335,27 @@ class TestSearch:
         assert "is not empty" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("search", "lr", "nan", "lr0"),
+        ("search", "lr", "inf", "lr0"),
+        ("search", "weight-decay", "nan", "weight_decay"),
+        ("search", "sigma", "inf", "sigma"),
+        ("pretrain", "lr", "nan", "lr0"),
+    ])
+    def test_non_finite_training_flag_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys,
+                                                      command, flag, value, field):
+        # NaN passes every `<=` check and used to end in a FloatingPointError traceback
+        out = tmp_path / "bad"
+        if command == "search":
+            argv = search_args(space_dir, pretrain_dir, out)
+        else:
+            argv = ["pretrain", "--out", out, "--seed", "1", "--space", space_dir / "space.jsonl",
+                    "--sample", "40", "--epochs", "1", *SMALL_MODEL]
+        assert run(*argv, f"--{flag}", value) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field} must be finite, got {value}" in err
+        assert "Traceback" not in err
+
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "odd"
         argv = search_args(space_dir, pretrain_dir, out)
@@ -350,6 +371,18 @@ def two_runs(tmp_path_factory, space_dir, pretrain_dir):
         assert run(*search_args(space_dir, pretrain_dir, out, seed=seed)) == EXIT_OK
         runs.append(out)
     return runs
+
+
+@pytest.fixture(scope="module")
+def full_run(two_runs):
+    return two_runs[0]
+
+
+@pytest.fixture(scope="module")
+def greedy_run(tmp_path_factory, space_dir, pretrain_dir):
+    out = tmp_path_factory.mktemp("greedy")
+    assert run(*search_args(space_dir, pretrain_dir, out, seed=24), "--baseline", "ws-greedy") == EXIT_OK
+    return out
 
 
 class TestRunConfig:
@@ -479,6 +512,30 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"help": True}))
         assert run("synth", "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, run_dir", [
+        ("synth", "space_dir"), ("pretrain", "pretrain_dir"), ("search", "full_run"), ("search", "greedy_run"),
+    ])
+    def test_run_config_replays_the_run(self, tmp_path, request, command, run_dir):
+        # run_config.json records every flag and the command: fed back with
+        # another --out, it gives the same files, the recorded out aside
+        done = request.getfixturevalue(run_dir)
+        replay = tmp_path / "replay"
+        assert run(command, "--config", done / "run_config.json", "--out", replay) == EXIT_OK
+        names = sorted(p.name for p in done.iterdir())
+        assert sorted(p.name for p in replay.iterdir()) == names
+        for name in names:
+            if name != "run_config.json":
+                assert (replay / name).read_bytes() == (done / name).read_bytes(), name
+        first, again = (json.loads((d / "run_config.json").read_text()) for d in (done, replay))
+        assert again.pop("out") == str(replay)
+        first.pop("out")
+        assert again == first
+
+    def test_run_config_of_another_command_is_config_error(self, tmp_path, space_dir, capsys):
+        argv = ["pretrain", "--config", space_dir / "run_config.json", "--out", tmp_path / "out"]
+        assert run(*argv) == EXIT_CONFIG
+        assert "config is for command 'synth', not 'pretrain'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--out", tmp_path, "--seed", "1", "--config", tmp_path / "nope.json") == EXIT_IO

@@ -207,17 +207,18 @@ class TestFinalize:
     def test_picks_best_val_and_reports_its_test(self, bench, model):
         cfg = SearchConfig(per_round=6, rounds=2, exploit_fraction=0.5, top_k=3, seed=10)
         _, trace = iterative_search(SearchView(bench), model, cfg, FAST_TRAIN)
+        before = dataclasses.replace(trace, entries=list(trace.entries), round_metrics=list(trace.round_metrics))
         arch, test_acc = finalize(trace, bench)
+        assert trace == before  # finalize reads the trace and writes nothing to it
         best = max(trace.entries, key=lambda e: e.val_acc)
-        assert trace.chosen_id == best.arch_id == arch.id
+        assert trace.best().arch_id == best.arch_id == arch.id
         assert test_acc == bench.records[arch.id].test_acc
         # reported value is the chosen arch's test accuracy, not the best test seen
         best_test_seen = max(bench.records[e.arch_id].test_acc for e in trace.entries)
         assert test_acc <= best_test_seen
 
     def test_tie_breaks_to_lowest_id(self, bench):
-        cfg = SearchConfig(per_round=2, rounds=1, top_k=1, seed=0)
-        trace = search.SearchTrace(config=cfg)
+        trace = search.SearchTrace()
         for rid in ("b", "a", "c"):
             trace.entries.append(search.TraceEntry(round=1, arch_id=rid, origin="random", val_acc=50.0))
         sp = _space_with_equal_vals(bench)
@@ -226,7 +227,21 @@ class TestFinalize:
 
     def test_empty_trace(self, bench):
         with pytest.raises(ValueError):
-            finalize(search.SearchTrace(config=SearchConfig(per_round=1, rounds=1, top_k=1)), bench)
+            finalize(search.SearchTrace(), bench)
+
+
+class TestSearchTrace:
+    def test_best_through_round_and_final_top_k(self):
+        trace = search.SearchTrace([
+            search.TraceEntry(1, "b", "random", 60.0), search.TraceEntry(1, "c", "random", 70.0),
+            search.TraceEntry(2, "a", "model", 70.0), search.TraceEntry(3, "d", "topk", 80.0),
+            search.TraceEntry(3, "e", "topk", 10.0),
+        ])
+        assert [trace.best(r).arch_id for r in (1, 2, 3)] == ["c", "a", "d"]  # 70.0 tie: lower id
+        assert trace.best() == trace.best(3)
+        assert trace.final_top_k == ("d", "e")
+        with pytest.raises(ValueError, match="empty trace"):
+            trace.best(0)
 
 
 def _space_with_equal_vals(bench):
@@ -252,8 +267,8 @@ class TestRandomSearch:
 
 class TestWsGreedy:
     def test_whole_space(self, bench):
-        selected = ws_greedy_baseline(bench, len(bench))
-        assert len(selected) == len(bench)
+        trace = ws_greedy_baseline(bench, len(bench))
+        assert len(trace.entries) == len(bench)
 
     def test_perfect_proxy_zero_regret(self, bench):
         # weak labels equal to val_acc: greedy top-1 has zero validation regret
@@ -262,13 +277,13 @@ class TestWsGreedy:
             recs[rid] = space.BenchmarkRecord(arch=rec.arch, val_acc=rec.val_acc, test_acc=rec.test_acc,
                                               ws_acc=rec.val_acc, flops=rec.flops, params=rec.params)
         perfect = space.SearchSpace(meta=bench.meta, records=recs)
-        selected = ws_greedy_baseline(perfect, 10)
+        trace = ws_greedy_baseline(perfect, 10)
         best_val = max(r.val_acc for r in perfect.records.values())
-        assert max(r.val_acc for r in selected) == best_val
+        assert max(e.val_acc for e in trace.entries) == best_val
 
     def test_sorted_by_weak_label(self, bench):
-        selected = ws_greedy_baseline(bench, 20)
-        ws = [r.ws_acc for r in selected]
+        trace = ws_greedy_baseline(bench, 20)
+        ws = [bench.records[e.arch_id].ws_acc for e in trace.entries]
         assert ws == sorted(ws, reverse=True)
 
     def test_equal_weak_labels_in_id_order(self, bench):
@@ -279,10 +294,10 @@ class TestWsGreedy:
             rid: dataclasses.replace(bench.records[rid], ws_acc=70.0 if k % 3 else 60.0)
             for k, rid in enumerate(ids)
         }
-        selected = ws_greedy_baseline(space.SearchSpace(meta=bench.meta, records=recs), 60)
+        trace = ws_greedy_baseline(space.SearchSpace(meta=bench.meta, records=recs), 60)
         expected = sorted(recs.values(), key=lambda r: (-r.ws_acc, r.arch.id))[:60]
-        assert [r.arch.id for r in selected] == [r.arch.id for r in expected]
-        assert [r.ws_acc for r in selected] == [70.0] * 60
+        assert [e.arch_id for e in trace.entries] == [r.arch.id for r in expected]
+        assert [recs[e.arch_id].ws_acc for e in trace.entries] == [70.0] * 60
 
     def test_missing_labels_rejected(self):
         sp = space.generate_synthetic_space(space.SynthConfig(size=10, seed=0))

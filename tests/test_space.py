@@ -464,6 +464,17 @@ class TestCalibration:
             assert (a.val_acc, a.test_acc, a.flops, a.params) == (b.val_acc, b.test_acc, b.flops, b.params)
             assert a.arch == b.arch
 
+    def test_validates_no_record_again(self, sp5000, monkeypatch):
+        # the records were validated when the space was built; calibration
+        # changes only ws_acc, and keeps it finite and inside [0, 100]
+        calls = []
+        monkeypatch.setattr(space, "_validate_record", lambda *a, **k: calls.append(a))
+        cal = calibrate_weak_labels(sp5000, 0.6, seed=4)
+        assert calls == []
+        assert list(cal.records) == list(sp5000.records)
+        ws = np.array([r.ws_acc for r in cal.records.values()])
+        assert np.all(np.isfinite(ws)) and ws.min() >= 0.0 and ws.max() <= 100.0
+
     def test_deterministic_per_seed(self, sp5000):
         c1 = calibrate_weak_labels(sp5000, 0.6, seed=4)
         c2 = calibrate_weak_labels(sp5000, 0.6, seed=4)

@@ -18,6 +18,9 @@
 #             --probe-size 0 --patience 0, so a finetune that runs every
 #             epoch and a search without a probe are covered too
 #   report    over the seven search runs before the no-probe one
+#   replay    search --config search-full/run_config.json into search-replay;
+#             every file but run_config.json (whose out differs) must equal
+#             search-full's, or the script fails
 #   two cells synth --cells 2 with 800 records, a 1-epoch pretrain on all of
 #             them and a full search, so the multi-cell encoder is covered
 #   wide vocabulary, no hyper-parameters
@@ -73,6 +76,12 @@ ltrnas search --out search-no-probe --space space/space.jsonl --checkpoint pre/c
     "${search[@]}" --probe-size 0 --patience 0
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
     search-no-pretrain search-exploit --out report
+ltrnas search --config search-full/run_config.json --out search-replay
+for f in search-full/*; do
+    if [ "${f##*/}" != run_config.json ]; then
+        cmp "$f" "search-replay/${f##*/}"
+    fi
+done
 
 ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
 ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
