@@ -273,7 +273,7 @@ def cmd_search(args) -> int:
     bench = _load_space(args.space)
     scfg = _checked(search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
                     exploit_fraction=args.alpha, top_k=args.topk, seed=args.seed)
-    baseline = args.baseline or "full"
+    baseline = args.baseline
     if baseline not in ("full", "vanilla-mse", "ranknet", "ws-greedy", "random"):
         raise CliConfigError(f"unknown baseline {baseline!r}")
     needs_budget = args.budget if baseline == "ws-greedy" else scfg.budget
@@ -488,7 +488,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.5, help="exploit fraction per round")
     p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--baseline", default=None, choices=["vanilla-mse", "ranknet", "ws-greedy", "random"])
+    p.add_argument("--baseline", default="full", choices=["full", "vanilla-mse", "ranknet", "ws-greedy", "random"])
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--batch-size", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.005)

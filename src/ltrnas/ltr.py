@@ -305,8 +305,8 @@ def _train_epochs(
 def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarray], cfg: TrainConfig) -> PretrainResult:
     """Train the auxiliary heads (ws/flops/params) with multi-task MSE on
     normalized labels for cfg.epochs (no early stopping). `packed` and
-    `weak` are `weak_view`'s pair. Returns a trained copy of the model plus
-    held-out R-squared per channel.
+    `weak` are `weak_view`'s pair. Returns a trained copy of the model, with
+    its optimizer state dropped, plus held-out R-squared per channel.
     """
     if any(len(weak[ch]) != len(packed) for ch in CHANNELS):
         raise ValueError(f"{len(packed)} architectures but label lengths {[len(weak[ch]) for ch in CHANNELS]}")
@@ -327,6 +327,7 @@ def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarr
     # weight-decay steps grind its untouched weights to zero.
     trainable = [n for n in model.store.names() if not n.startswith("head_rank")]
     curve = list(_train_epochs(model, packed, train_idx, CHANNELS, batch_loss, cfg, trainable, rng, seed_rng))
+    model.store.release()
 
     r2 = {ch: float("nan") for ch in CHANNELS}
     if len(hold_idx) >= 2:
@@ -361,7 +362,7 @@ def finetune(
     set into lists of batch_size each epoch, and applies the selected
     gradient coefficients per list ("lambdarank", "ranknet", or pointwise
     "mse" regression on normalized accuracy). Early stopping watches NDCG on
-    a held-out slice; the best checkpoint is returned.
+    a held-out slice; the best epoch is returned, without optimizer state.
     """
     if loss not in ("lambdarank", "ranknet", "mse"):
         raise ValueError(f"unknown finetune loss {loss!r}")
@@ -410,7 +411,7 @@ def finetune(
 
     trainable = _finetune_param_names(model)
     curve: list[CurveRow] = []
-    best_params = None
+    best_flat = None
     best_ndcg = None
     patience = 0
     stopped_epoch = cfg.epochs
@@ -423,7 +424,7 @@ def finetune(
         curve.append(CurveRow(epoch=row.epoch, split="holdout", ndcg=val_ndcg))
         if best_ndcg is None or val_ndcg > best_ndcg:
             best_ndcg = val_ndcg
-            best_params = {k: v.copy() for k, v in model.store.params.items()}
+            best_flat = model.store.flat.copy()
             patience = 0
         else:
             patience += 1
@@ -431,9 +432,9 @@ def finetune(
                 stopped_epoch = row.epoch
                 break
 
-    if best_params is not None:
-        for k, v in best_params.items():
-            model.store.params[k][...] = v
+    model.store.release()
+    if best_flat is not None:
+        model.store.flat[...] = best_flat
     return FinetuneResult(
         model=model,
         best_ndcg=best_ndcg,

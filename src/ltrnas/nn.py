@@ -30,7 +30,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -75,23 +75,51 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named float64 parameter tensors with matching gradient accumulators
-    and Adam state. Iteration order is sorted by name everywhere."""
+    """Named float64 parameters, each a view of its slice of one flat buffer in
+    sorted-name order (the iteration order everywhere); write them in place
+    only. Gradient and Adam moments are the rows of one (3, n) buffer of that
+    layout, zeroed on first use and dropped by `release`."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.params = {k: params[k] for k in sorted(params)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.moment1 = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.moment2 = {k: np.zeros_like(v) for k, v in self.params.items()}
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        ends = np.cumsum([0, *(math.prod(shapes[k]) for k in sorted(shapes))]).tolist()
+        self._spans = {k: (a, b, tuple(shapes[k])) for k, a, b in zip(sorted(shapes), ends, ends[1:])}
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        self.params = self._views(self.flat)
+        self._state = None
         self.step = 0
         self.version = 0
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {k: flat[a:b].reshape(shape) for k, (a, b, shape) in self._spans.items()}
 
     def names(self) -> list[str]:
         return list(self.params)
 
+    def state(self) -> np.ndarray:
+        """Gradient, first and second moment: the rows of the optimizer buffer."""
+        if self._state is None:
+            self._state = np.zeros((3, len(self.flat)))
+        return self._state
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """Per-name views of the gradient row."""
+        return self._views(self.state()[0])
+
+    def runs(self, names: Sequence[str]) -> list[slice]:
+        """The maximal contiguous slices of the buffer that the tensors `names` cover, in order."""
+        spans = sorted(self._spans[k][:2] for k in set(names))
+        cuts = [i for i in range(1, len(spans)) if spans[i - 1][1] != spans[i][0]]
+        return [slice(spans[i][0], spans[j - 1][1]) for i, j in zip([0, *cuts], [*cuts, len(spans)]) if i < j]
+
+    def release(self) -> None:
+        """Drop gradients and optimizer state; the next step starts Adam afresh."""
+        self._state = None
+        self.step = 0
+
     def clone(self) -> "ParamStore":
-        """Copy of the parameter values with fresh gradient/optimizer state."""
-        return ParamStore({k: v.copy() for k, v in self.params.items()})
+        """Copy of the parameter values with no gradient/optimizer state."""
+        return ParamStore({k: v.shape for k, v in self.params.items()}, self.flat.copy())
 
 
 @dataclass
@@ -134,18 +162,13 @@ def build_model(cfg: ModelConfig, vocab: Sequence[str] = ()) -> RankingModel:
     op names the encodings index, is recorded for checkpoints."""
     vocab = _checked_vocab(vocab, cfg.vocab_size)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1217]))
-    params = {}
-    for name, shape, fan_in in _param_specs(cfg):
+    specs = _param_specs(cfg)
+    store = ParamStore({name: shape for name, shape, _ in specs})
+    for name, shape, fan_in in specs:
         bound = 1.0 / math.sqrt(fan_in)
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    hp_dim = cfg.hparam_dim
-    return RankingModel(
-        config=cfg,
-        store=ParamStore(params),
-        hp_mean=np.zeros(hp_dim),
-        hp_std=np.ones(hp_dim),
-        vocab=vocab,
-    )
+        store.params[name][...] = rng.uniform(-bound, bound, size=shape)
+    return RankingModel(config=cfg, store=store, hp_mean=np.zeros(cfg.hparam_dim),
+                        hp_std=np.ones(cfg.hparam_dim), vocab=vocab)
 
 
 def _checked_vocab(vocab: Sequence[str], vocab_size: int) -> tuple[str, ...]:
@@ -531,25 +554,27 @@ def adam_step(store: ParamStore, lr: float, names: Sequence[str], weight_decay: 
     """One Adam update of the parameters `names` over their accumulated
     gradients (L2 added to the gradient), with bias correction; clears those
     gradients and bumps the step counter. Parameters not named keep their
-    exact values."""
+    exact values. The update is elementwise, so it runs once per contiguous
+    run of named tensors (`ParamStore.runs`), bitwise the per-tensor one."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     store.step += 1
     store.version += 1
     bc1 = 1.0 - ADAM_BETA1**store.step
     bc2 = 1.0 - ADAM_BETA2**store.step
-    for name in sorted(set(names)):
-        grad = store.grads[name]
+    grads, moment1, moment2 = store.state()
+    for run in store.runs(names):
+        grad = grads[run]
         if weight_decay:
-            grad = grad + weight_decay * store.params[name]
-        m = store.moment1[name]
-        v = store.moment2[name]
+            grad = grad + weight_decay * store.flat[run]
+        m = moment1[run]
+        v = moment2[run]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * grad * grad
-        store.params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        store.grads[name][...] = 0.0
+        store.flat[run] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        grads[run] = 0.0
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -610,28 +635,21 @@ def load_checkpoint(path: str | Path) -> RankingModel:
     raw = dict(doc["config"])
     raw["conv_channels"] = tuple(raw["conv_channels"])
     cfg = ModelConfig(**raw)
-    params = {name: _decode_array(obj) for name, obj in doc["params"].items()}
-    shapes = {name: shape for name, shape, _ in _param_specs(cfg)}
-    if set(params) != set(shapes):
+    store = ParamStore({name: shape for name, shape, _ in _param_specs(cfg)})
+    if set(doc["params"]) != set(store.params):
         raise ValueError(f"{path}: parameter names do not match the config")
-    stats = {"hp_mean": _decode_array(doc["hp_mean"]), "hp_std": _decode_array(doc["hp_std"])}
-    shapes.update(hp_mean=(cfg.hparam_dim,), hp_std=(cfg.hparam_dim,))
-    for name, value in {**params, **stats}.items():
-        if value.shape != shapes[name]:
-            raise ValueError(f"{path}: {name} has shape {value.shape}, the config needs {shapes[name]}")
+    stats = {"hp_mean": np.empty(cfg.hparam_dim), "hp_std": np.empty(cfg.hparam_dim)}
+    for name, target in {**store.params, **stats}.items():  # decoded straight into place
+        value = _decode_array(doc["params"][name] if name in store.params else doc[name])
+        if value.shape != target.shape:
+            raise ValueError(f"{path}: {name} has shape {value.shape}, the config needs {target.shape}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{path}: {name} has non-finite values")
+        target[...] = value
     vocab = _checked_vocab(doc["vocab"], cfg.vocab_size)
-    return RankingModel(config=cfg, store=ParamStore(params), hp_fitted=bool(doc["hp_fitted"]), vocab=vocab, **stats)
+    return RankingModel(config=cfg, store=store, hp_fitted=bool(doc["hp_fitted"]), vocab=vocab, **stats)
 
 
 def clone_model(model: RankingModel) -> RankingModel:
-    """Independent copy of parameters and stats (fresh optimizer state)."""
-    return RankingModel(
-        config=model.config,
-        store=model.store.clone(),
-        hp_mean=model.hp_mean.copy(),
-        hp_std=model.hp_std.copy(),
-        hp_fitted=model.hp_fitted,
-        vocab=model.vocab,
-    )
+    """Independent copy of parameters and stats, with no optimizer state."""
+    return replace(model, store=model.store.clone(), hp_mean=model.hp_mean.copy(), hp_std=model.hp_std.copy())

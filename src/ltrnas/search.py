@@ -218,6 +218,7 @@ def iterative_search(
         ndcg_val = tau_val = None
         if model is not None:
             labeled = trace.sampled_ids()
+            current = result = None  # the last round's ranker has made its picks
             result = ltr.finetune(model, view.pool(labeled).batch, labeled, [e.val_acc for e in trace.entries],
                                   replace(train_cfg, seed=_child_seed(cfg.seed, 0xF7, rnd)), loss=loss)
             current = result.model

@@ -191,6 +191,20 @@ class TestSearch:
         sb = json.loads((b / "summary.json").read_text())
         assert sa == sb
 
+    def test_baseline_full_flag_is_the_default(self, tmp_path, space_dir, pretrain_dir):
+        # the value every full run records is one the flag accepts; spelled out,
+        # it changes no byte (both runs write into the same path, so even out matches)
+        out = tmp_path / "run"
+        assert run(*search_args(space_dir, pretrain_dir, out, seed=6)) == EXIT_OK
+        out.rename(tmp_path / "default")
+        assert run(*search_args(space_dir, pretrain_dir, out, seed=6, baseline="full")) == EXIT_OK
+        assert json.loads((out / "run_config.json").read_text())["baseline"] == "full"
+        assert json.loads((out / "summary.json").read_text())["config_hash"] == \
+            json.loads((tmp_path / "default" / "summary.json").read_text())["config_hash"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in (tmp_path / "default").iterdir())
+        for path in out.iterdir():
+            assert path.read_bytes() == (tmp_path / "default" / path.name).read_bytes(), path.name
+
     def test_random_baseline_origins(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "rand"
         argv = search_args(space_dir, pretrain_dir, out, seed=7)

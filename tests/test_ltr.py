@@ -317,6 +317,11 @@ class TestPretrain:
                  TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=1))
         assert nn.checkpoint_bytes(model) == frozen
 
+    def test_returned_model_holds_no_optimizer_state(self, weak_space):
+        packed, weak = weak_view(weak_space, weak_space.ids[:20])
+        model = pretrain(nn.build_model(MODEL_CFG), packed, weak, TrainConfig(epochs=1, seed=1)).model
+        assert model.store._state is None and model.store.step == 0
+
     def test_high_fidelity_labels_reach_high_r2(self):
         # tau = 1.0 weak labels: the ws head should explain most of the variance
         cfg = space.SynthConfig(size=1200, node_range=(5, 7), vocab_size=6, seed=21)
@@ -401,6 +406,21 @@ class TestFinetune:
         cfg = TrainConfig(epochs=300, early_stop_patience=50, seed=3)
         result = finetune(nn.build_model(MODEL_CFG), *examples, cfg)
         assert result.stopped_epoch < cfg.epochs
+
+    def test_returns_the_best_epoch_without_optimizer_state(self, weak_space):
+        # stopped by patience, so the last epoch is not the best one: the
+        # returned parameters are the snapshot, and their holdout NDCG is the best
+        records = [weak_space.records[r] for r in weak_space.ids[:40]]
+        packed, ids, accs = labeled(records, weak_space.meta.vocab)
+        result = finetune(nn.build_model(MODEL_CFG), packed, ids, accs,
+                          TrainConfig(epochs=300, early_stop_patience=5, seed=3))
+        assert result.stopped_epoch < 300
+        assert result.model.store._state is None and result.model.store.step == 0
+        _, hold = ltr._stratified_holdout(np.array(accs))
+        rels = metrics.map_relevance(result.relevance_map, np.array(accs)[hold])
+        scores, _ = nn.forward(result.model, packed.select(hold), "rank")
+        assert metrics.ndcg(scores, rels, [ids[i] for i in hold]) == result.best_ndcg
+        assert [r.ndcg for r in result.curve if r.split == "holdout"][-1] < result.best_ndcg
 
     def test_degenerate_relevance_falls_back_to_uniform(self, weak_space, caplog):
         recs = list(weak_space.records.values())[:8]

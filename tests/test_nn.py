@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -565,19 +565,19 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_grad_no_motion(self):
-        store = ParamStore({"w": np.array([1.0, -2.0])})
+        store = ParamStore({"w": (2,)}, np.array([1.0, -2.0]))
         adam_step(store, lr=0.1, names=["w"], weight_decay=0.0)
         np.testing.assert_array_equal(store.params["w"], [1.0, -2.0])
 
     def test_first_step_hand_value(self):
-        store = ParamStore({"w": np.array([1.0])})
+        store = ParamStore({"w": (1,)}, np.array([1.0]))
         store.grads["w"][...] = 1.0
         adam_step(store, lr=0.1, names=["w"])
         assert store.params["w"][0] == pytest.approx(0.9, abs=1e-6)
 
     def test_deterministic(self):
         def run():
-            store = ParamStore({"w": np.arange(4.0)})
+            store = ParamStore({"w": (4,)}, np.arange(4.0))
             for step in range(5):
                 store.grads["w"][...] = np.sin(np.arange(4.0) + step)
                 adam_step(store, lr=0.05, names=["w"], weight_decay=0.01)
@@ -586,7 +586,7 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
     def test_grads_cleared_and_step_counted(self):
-        store = ParamStore({"w": np.array([1.0])})
+        store = ParamStore({"w": (1,)}, np.array([1.0]))
         store.grads["w"][...] = 3.0
         adam_step(store, lr=0.1, names=["w"])
         assert store.step == 1
@@ -594,15 +594,94 @@ class TestAdam:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            adam_step(ParamStore({"w": np.zeros(1)}), lr=0.0, names=["w"])
+            adam_step(ParamStore({"w": (1,)}), lr=0.0, names=["w"])
 
     def test_name_filter_freezes_others(self):
-        store = ParamStore({"a": np.array([1.0]), "b": np.array([1.0])})
+        store = ParamStore({"a": (1,), "b": (1,)}, np.array([1.0, 1.0]))
         store.grads["a"][...] = 1.0
         store.grads["b"][...] = 1.0
         adam_step(store, lr=0.1, weight_decay=0.5, names=["a"])
         assert store.params["a"][0] != 1.0
         assert store.params["b"][0] == 1.0
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sets(st.sampled_from(build_model(TINY).store.names()), min_size=1),
+        st.sampled_from([0.0, 0.0005, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example({"conv0.weight", "head_flops.b2", "head_rank.w1", "nodeconv.bias"}, 0.0005, 1)  # four runs
+    def test_runs_bitwise_the_per_tensor_update(self, names, weight_decay, seed):
+        # the reference: the per-tensor update on separately allocated arrays
+        store = build_model(TINY).store
+        params = {k: v.copy() for k, v in store.params.items()}
+        grads, moment1, moment2 = ({k: np.zeros_like(v) for k, v in params.items()} for _ in range(3))
+        rng = np.random.default_rng(seed)
+        for step in range(1, 4):
+            for name, grad in store.grads.items():
+                grad[...] = grads[name][...] = rng.standard_normal(grad.shape)
+            adam_step(store, lr=0.01, names=sorted(names), weight_decay=weight_decay)
+            bc1, bc2 = 1.0 - nn.ADAM_BETA1**step, 1.0 - nn.ADAM_BETA2**step
+            for name in sorted(names):
+                grad = grads[name] + weight_decay * params[name] if weight_decay else grads[name]
+                m, v = moment1[name], moment2[name]
+                m *= nn.ADAM_BETA1
+                m += (1.0 - nn.ADAM_BETA1) * grad
+                v *= nn.ADAM_BETA2
+                v += (1.0 - nn.ADAM_BETA2) * grad * grad
+                params[name] -= 0.01 * (m / bc1) / (np.sqrt(v / bc2) + nn.ADAM_EPS)
+                grads[name][...] = 0.0
+            for name, value in params.items():
+                np.testing.assert_array_equal(store.params[name].view(np.int64), value.view(np.int64), err_msg=name)
+            reference = [np.concatenate([part[k].ravel() for k in sorted(part)]) for part in (grads, moment1, moment2)]
+            np.testing.assert_array_equal(store.state().view(np.int64), np.stack(reference).view(np.int64))
+
+    def test_training_sets_are_few_runs(self):
+        # pretrain skips the rank head (2 runs); finetune skips three auxiliary heads (3 runs)
+        store = build_model(TINY).store
+        pretrain_set = [n for n in store.names() if not n.startswith("head_rank")]
+        finetune_set = [n for n in store.names() if not n.startswith(("head_ws", "head_flops", "head_params"))]
+        assert [len(store.runs(s)) for s in (pretrain_set, finetune_set, store.names(), [])] == [2, 3, 1, 0]
+
+
+class TestFlatStore:
+    def test_params_alias_the_flat_buffer(self):
+        # the views, in sorted-name order, tile the buffer exactly
+        store = build_model(TINY).store
+        assert store.names() == sorted(store.names())
+        store.flat[...] = np.arange(store.flat.size)
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in store.params.values()]),
+                                      np.arange(store.flat.size))
+        store.params["head_rank.b2"][...] = -1.0
+        assert (store.flat == -1.0).sum() == 1
+
+    def test_optimizer_state_only_while_training(self, tmp_path, tiny_encs):
+        m = build_model(TINY)
+        save_checkpoint(m, tmp_path / "model.json")
+        for model in (m, load_checkpoint(tmp_path / "model.json"), clone_model(m)):
+            assert model.store._state is None
+        _, ctx = forward(m, nn.pack(tiny_encs[:3]), "rank", train_mode=True, dropout_seed=1)
+        assert m.store._state is None  # a forward pass, train mode included, allocates nothing
+        backward(m, {"rank": np.ones(3)}, ctx)
+        assert m.store._state.shape == (3, m.store.flat.size)
+        adam_step(m.store, lr=0.01, names=m.store.names())
+        assert clone_model(m).store._state is None
+        m.store.release()
+        assert m.store._state is None and m.store.step == 0
+
+    def test_loaded_model_retains_about_its_parameter_bytes(self, tmp_path):
+        # the bench's model (68,716 parameters); no gradient or moment copies
+        cfg = ModelConfig(vocab_size=9, hparam_dim=2, conv_channels=(64,) * 4, sortpool_nodes=12,
+                          conv1d_channels=16, hparam_proj=8, head_hidden=64)
+        path = tmp_path / "bench-shaped.json"
+        save_checkpoint(build_model(cfg), path)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert loaded.store.flat.nbytes == 68_716 * 8
+        assert retained <= 1.2 * loaded.store.flat.nbytes, retained
 
 
 class TestCosine:

@@ -18,9 +18,12 @@
 #             --probe-size 0 --patience 0, so a finetune that runs every
 #             epoch and a search without a probe are covered too
 #   report    over the seven search runs before the no-probe one
+#   default   search --baseline full into search-full-flag, the default
+#             spelled out; every file must equal search-full's, run_config.json
+#             but for its out, or the script fails
 #   replay    search --config search-full/run_config.json into search-replay;
-#             every file but run_config.json (whose out differs) must equal
-#             search-full's, or the script fails
+#             every file must equal search-full's, run_config.json but for
+#             its out, or the script fails
 #   two cells synth --cells 2 with 800 records, a 1-epoch pretrain on all of
 #             them and a full search, so the multi-cell encoder is covered
 #   wide vocabulary, no hyper-parameters
@@ -59,12 +62,27 @@ ltrnas() {
     PYTHONPATH="$src" python3 -m ltrnas.cli "$@" >> stdout.txt
 }
 
+# Fail unless run directory $2 holds the files of $1, byte for byte, with
+# run_config.json compared without its "out" line.
+same_run() {
+    for f in "$1"/*; do
+        if [ "${f##*/}" = run_config.json ]; then
+            diff <(grep -v '^  "out": ' "$f") <(grep -v '^  "out": ' "$2/run_config.json")
+        else
+            cmp "$f" "$2/${f##*/}"
+        fi
+    done
+}
+
 cd "$out"
 space=(--nodes-min 5 --nodes-max 11 --vocab-size 9 --tau 0.6)
 ltrnas synth --out space --seed 1 --size 5000 "${space[@]}"
 ltrnas pretrain --out pre --seed 2 --space space/space.jsonl --sample 1000 --lr 0.005 --epochs 1 "${model[@]}"
 ltrnas pretrain --out pre-bench --seed 2 --space space/space.jsonl --sample 4000 --lr 0.005 --epochs 2 "${model[@]}"
 ltrnas search --out search-full --space space/space.jsonl --checkpoint pre/checkpoint.json "${search[@]}"
+ltrnas search --out search-full-flag --baseline full --space space/space.jsonl --checkpoint pre/checkpoint.json \
+    "${search[@]}"
+same_run search-full search-full-flag
 for baseline in ranknet vanilla-mse random ws-greedy; do
     ltrnas search --out "search-$baseline" --baseline "$baseline" --space space/space.jsonl \
         --checkpoint pre/checkpoint.json "${search[@]}"
@@ -77,11 +95,7 @@ ltrnas search --out search-no-probe --space space/space.jsonl --checkpoint pre/c
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
     search-no-pretrain search-exploit --out report
 ltrnas search --config search-full/run_config.json --out search-replay
-for f in search-full/*; do
-    if [ "${f##*/}" != run_config.json ]; then
-        cmp "$f" "search-replay/${f##*/}"
-    fi
-done
+same_run search-full search-replay
 
 ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
 ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
