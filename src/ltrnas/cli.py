@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import traceback
+from collections.abc import Collection
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -87,11 +88,14 @@ def _load_space(path_str: str) -> space_mod.SearchSpace:
     return space_mod.load_space(path)
 
 
-def _run_config(args, out: Path, **resolved) -> dict:
-    """Every parsed flag (config file folded in) plus the output directory and
-    the values the command resolves itself; written as run_config.json."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
-    cfg.update(out=str(out), **resolved)
+def _run_config(args, out: Path, groups: Collection[str] = ()) -> dict:
+    """The parsed flags the run reads (config file folded in) plus the output
+    directory; written as run_config.json. A flag in one of the command's
+    argument groups (`flag_groups`) is read only where `groups` names it."""
+    unread = {dest for title, dests in getattr(args, "flag_groups", {}).items() if title not in groups
+              for dest in dests}
+    cfg = {k: v for k, v in vars(args).items() if k not in {"config", "func", "flag_groups", *unread}}
+    cfg["out"] = str(out)
     return cfg
 
 
@@ -150,7 +154,7 @@ def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn
     )
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse._ActionsContainer) -> None:
     parser.add_argument("--hidden", type=int, default=128, help="graph conv width")
     parser.add_argument("--layers", type=int, default=4, help="graph conv depth")
     parser.add_argument("--sortpool", type=int, default=16, help="sort-pooling node count")
@@ -274,22 +278,25 @@ def cmd_search(args) -> int:
     scfg = _checked(search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
                     exploit_fraction=args.alpha, top_k=args.topk, seed=args.seed)
     baseline = args.baseline
-    if baseline not in ("full", "vanilla-mse", "ranknet", "ws-greedy", "random"):
-        raise CliConfigError(f"unknown baseline {baseline!r}")
-    needs_budget = args.budget if baseline == "ws-greedy" else scfg.budget
+    method = search.METHODS[baseline]
+    start = method.starting_model(pretrained=not args.no_pretrain)
+    needs_budget = args.budget if method.select else scfg.budget
     if needs_budget > len(bench):
         raise CliConfigError(f"budget {needs_budget} exceeds space size {len(bench)}")
-    run_cfg = _run_config(args, out, baseline=baseline, no_pretrain=bool(args.no_pretrain))
+    # The flags the run reads: the finetune flags and those of the starting model
+    # where a model trains, and --no-pretrain where the method can start from the checkpoint.
+    read = {"finetune", start} if start else set()
+    if method.start == "checkpoint":
+        read.add("pretraining")
+    run_cfg = _run_config(args, out, read)
 
     final_model = None
-    if baseline == "ws-greedy":
-        trace = search.ws_greedy_baseline(bench, args.budget)
-    elif baseline == "random":
+    if method.select:
+        trace = method.select(bench, args.budget)
+    elif start is None:
         _, trace = search.iterative_search(search.SearchView(bench), None, scfg)
     else:
-        loss = {"full": "lambdarank", "vanilla-mse": "mse", "ranknet": "ranknet"}[baseline]
-        fresh = args.no_pretrain or baseline == "vanilla-mse"
-        if fresh:
+        if start == "fresh":
             model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
         else:
             if not args.checkpoint:
@@ -312,7 +319,7 @@ def cmd_search(args) -> int:
                         early_stop_patience=args.patience if args.patience > 0 else None)
         view = search.SearchView(bench)
         probe = search.make_probe(bench, args.probe_size, seed=args.seed) if args.probe_size > 0 else None
-        final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=loss, probe=probe)
+        final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=method.loss, probe=probe)
 
     arch, test_acc = search.finalize(trace, bench)
     summary = _summarize(trace, bench, run_cfg, baseline)
@@ -482,22 +489,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("search", help="run the iterative search or a baseline")
     common(p)
     p.add_argument("--space", default=None)
-    p.add_argument("--checkpoint", default=None, help="pretrained model checkpoint")
-    p.add_argument("--no-pretrain", action="store_true", help="start from a fresh model")
     p.add_argument("--budget", type=int, default=100, help="iterative samples (split into rounds)")
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.5, help="exploit fraction per round")
     p.add_argument("--topk", type=int, default=10)
-    p.add_argument("--baseline", default="full", choices=["full", "vanilla-mse", "ranknet", "ws-greedy", "random"])
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--patience", type=int, default=50, help="early stop patience; 0 disables")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--probe-size", type=int, default=512, help="measurement probe size; 0 disables")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_search)
+    methods = list(search.METHODS)
+    p.add_argument("--baseline", default=methods[0], choices=methods)
+    # Flags only some methods read; cmd_search names the groups a run reads.
+    pretraining = p.add_argument_group("pretraining", "read by a method that starts from the pretrained model")
+    pretraining.add_argument("--no-pretrain", action="store_true", help="start from a fresh model")
+    checkpoint = p.add_argument_group("checkpoint", "read by a run that starts from the pretrained model")
+    checkpoint.add_argument("--checkpoint", default=None, help="pretrained model checkpoint")
+    fresh = p.add_argument_group("fresh", "read by a run that starts from a fresh model")
+    _add_model_flags(fresh)
+    finetune = p.add_argument_group("finetune", "read by a run that finetunes a model")
+    finetune.add_argument("--epochs", type=int, default=300)
+    finetune.add_argument("--batch-size", type=int, default=20)
+    finetune.add_argument("--lr", type=float, default=0.005)
+    finetune.add_argument("--weight-decay", type=float, default=0.0005)
+    finetune.add_argument("--patience", type=int, default=50, help="early stop patience; 0 disables")
+    finetune.add_argument("--sigma", type=float, default=1.0)
+    finetune.add_argument("--probe-size", type=int, default=512, help="measurement probe size; 0 disables")
+    groups = (pretraining, checkpoint, fresh, finetune)
+    p.set_defaults(func=cmd_search, flag_groups={g.title: [a.dest for a in g._group_actions] for g in groups})
     registry["search"] = p
 
     p = subs.add_parser("report", help="aggregate finished runs into CSV tables")
@@ -539,8 +553,9 @@ def _apply_config_file(parser, registry, argv) -> argparse.Namespace:
 def _config_value(path: Path, action: argparse.Action, value):
     """A config-file value checked against its flag, since argparse does not
     type-check defaults: an int flag takes a JSON integer, a float flag a
-    number, a store_true flag a boolean and any other flag a string. A
-    boolean is never a number; null is allowed where the flag defaults to it."""
+    number, a store_true flag a boolean and any other flag a string, one of
+    its choices where it has them. A boolean is never a number; null is
+    allowed where the flag defaults to it."""
     if value is None and action.default is None:
         return None
     if isinstance(action, argparse._StoreTrueAction):
@@ -552,6 +567,9 @@ def _config_value(path: Path, action: argparse.Action, value):
         kind, ok = "a string", isinstance(value, str)
     if not ok:
         raise CliConfigError(f"{path}: config key {action.dest!r} must be {kind}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise CliConfigError(f"{path}: config key {action.dest!r} must be one of "
+                             f"{json.dumps(list(action.choices))}, got {json.dumps(value)}")
     return action.type(value) if action.type in (int, float) else value
 
 

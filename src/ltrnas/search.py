@@ -8,7 +8,8 @@ is the model's. Without a model the same loop is the budget-matched random
 baseline: every pick, the final k included, is uniform. The search sees
 validation accuracy only, and only for sampled ids; test accuracy enters
 exactly once, in finalize. The ws-greedy baseline is a one-shot selector
-outside the loop that returns a one-round trace.
+outside the loop that returns a one-round trace. `METHODS` says how each
+search method runs: its selector, or its finetune loss and starting model.
 
 A search is the entries of its trace; the final top-k, the chosen id and
 every best-so-far derive from them (`SearchTrace.best`). The trace is a pure
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -257,3 +258,31 @@ def ws_greedy_baseline(space: SearchSpace, budget: int) -> SearchTrace:
     recs = list(space.records.values())
     order = metrics.rank_order([r.ws_acc for r in recs], [r.arch.id for r in recs])
     return SearchTrace([TraceEntry(1, recs[i].arch.id, "ws-greedy", recs[i].val_acc) for i in order[:budget]])
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one search method runs. `select` is a one-shot selector
+    (space, budget) -> trace in place of the round loop. Otherwise the round
+    loop runs: with a model finetuned by `loss` that starts from `start`, the
+    pretrained "checkpoint" or a "fresh" model, or, with neither, without a
+    model (the random baseline)."""
+
+    loss: str | None = None
+    start: str | None = None
+    select: Callable[[SearchSpace, int], SearchTrace] | None = None
+
+    def starting_model(self, pretrained: bool) -> str | None:
+        """"checkpoint", "fresh" or None (no model). A run that declines
+        pretraining starts a checkpoint method from a fresh model."""
+        return "fresh" if self.start == "checkpoint" and not pretrained else self.start
+
+
+# Every search method, by the name `search --baseline` takes; the first is its default.
+METHODS = {
+    "full": Method(loss="lambdarank", start="checkpoint"),
+    "vanilla-mse": Method(loss="mse", start="fresh"),
+    "ranknet": Method(loss="ranknet", start="checkpoint"),
+    "ws-greedy": Method(select=ws_greedy_baseline),
+    "random": Method(),
+}

@@ -225,19 +225,20 @@ def experiment():
     best_val = vals.max()
     runs = {m: [] for m in METHODS}
     for method in METHODS:
-        loss = {"full": "lambdarank", "vanilla-mse": "mse",
-                "ranknet": "ranknet", "no-pretrain": "lambdarank"}[method]
+        # no-pretrain is the full method started from a fresh model
+        spec = search.METHODS["full" if method == "no-pretrain" else method]
+        starting_model = spec.starting_model(pretrained=method != "no-pretrain")
         for seed in ACC_SEEDS:
             search_cfg = search.SearchConfig(per_round=20, rounds=5, exploit_fraction=0.5,
                                              top_k=10, seed=seed)
             train_cfg = ltr.TrainConfig(epochs=60, early_stop_patience=15, seed=seed)
-            if method in ("full", "ranknet"):
+            if starting_model == "checkpoint":
                 base = pre.model
             else:
                 base = nn.build_model(nn.ModelConfig(**{**model_cfg.__dict__, "seed": seed}))
             probe = search.make_probe(sp, 512, seed=seed)
             _, trace = search.iterative_search(
-                search.SearchView(sp), base, search_cfg, train_cfg, loss=loss, probe=probe
+                search.SearchView(sp), base, search_cfg, train_cfg, loss=spec.loss, probe=probe
             )
             search.finalize(trace, sp)
             topk_best = max(sp.records[rid].test_acc for rid in trace.final_top_k)

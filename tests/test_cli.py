@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ltrnas import cli, space
+from ltrnas import cli, search, space
 from ltrnas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 SMALL_MODEL = [
@@ -204,6 +204,34 @@ class TestSearch:
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in (tmp_path / "default").iterdir())
         for path in out.iterdir():
             assert path.read_bytes() == (tmp_path / "default" / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("first, second", [
+        (["--baseline", "ws-greedy", "--epochs", "5"], ["--epochs", "6"]),
+        (["--baseline", "random", "--lr", "0.005"], ["--lr", "0.01"]),
+        (["--baseline", "vanilla-mse"], ["--checkpoint", "pre"]),
+        (["--no-pretrain"], ["--checkpoint", "pre"]),
+    ], ids=["ws-greedy-epochs", "random-lr", "vanilla-mse-checkpoint", "no-pretrain-checkpoint"])
+    def test_unread_flag_changes_no_byte(self, tmp_path, space_dir, pretrain_dir, first, second):
+        # a flag the method never reads is neither recorded nor hashed: the two runs
+        # share config_hash and every byte but the recorded out, and either replays the other
+        argv = search_args(space_dir, pretrain_dir, None, seed=6)[3:]
+        del argv[argv.index("--checkpoint"):argv.index("--checkpoint") + 2]
+        second = [pretrain_dir / "checkpoint.json" if v == "pre" else v for v in second]
+        a, b, replay = tmp_path / "a", tmp_path / "b", tmp_path / "replay"
+        assert run("search", "--out", a, *argv, *first) == EXIT_OK
+        assert run("search", "--out", b, *argv, *first, *second) == EXIT_OK
+        assert run("search", "--config", b / "run_config.json", "--out", replay) == EXIT_OK
+        assert second[0].lstrip("-").replace("-", "_") not in json.loads((b / "run_config.json").read_text())
+        names = sorted(p.name for p in a.iterdir())
+        for other in (b, replay):
+            assert sorted(p.name for p in other.iterdir()) == names
+            for name in names:
+                if name == "run_config.json":
+                    cfgs = [json.loads((d / name).read_text()) for d in (a, other)]
+                    assert [c.pop("out") for c in cfgs] == [str(a), str(other)]
+                    assert cfgs[0] == cfgs[1]
+                else:
+                    assert (other / name).read_bytes() == (a / name).read_bytes(), name
 
     def test_random_baseline_origins(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "rand"
@@ -406,8 +434,29 @@ class TestRunConfig:
         _, registry = cli.build_parser()
         dests = {a.dest for a in registry[command]._actions} - {"config", "help"}
         run_cfg = json.loads((run_dir / "run_config.json").read_text())
+        if command == "search":
+            # a full run starts from the checkpoint, which carries the model: no model flag is read
+            assert search.METHODS[run_cfg["baseline"]].starting_model(pretrained=True) == "checkpoint"
+            dests -= set(registry[command].get_default("flag_groups")["fresh"])
         assert set(run_cfg) == dests | {"command"}
         assert run_cfg["command"] == command
+
+    @pytest.mark.parametrize("extra, groups", [
+        (["--baseline", "full"], {"pretraining", "checkpoint", "finetune"}),
+        (["--baseline", "ranknet"], {"pretraining", "checkpoint", "finetune"}),
+        (["--no-pretrain"], {"pretraining", "fresh", "finetune"}),
+        (["--baseline", "vanilla-mse"], {"fresh", "finetune"}),
+        (["--baseline", "random"], set()),
+        (["--baseline", "ws-greedy"], set()),
+    ], ids=["full", "ranknet", "no-pretrain", "vanilla-mse", "random", "ws-greedy"])
+    def test_search_keys_are_the_flags_its_method_reads(self, tmp_path, space_dir, pretrain_dir, extra, groups):
+        out = tmp_path / "run"
+        assert run(*search_args(space_dir, pretrain_dir, out, seed=6), *extra) == EXIT_OK
+        _, registry = cli.build_parser()
+        flag_groups = registry["search"].get_default("flag_groups")
+        unread = {dest for title, dests in flag_groups.items() if title not in groups for dest in dests}
+        dests = {a.dest for a in registry["search"]._actions} - {"config", "help"}
+        assert set(json.loads((out / "run_config.json").read_text())) == dests - unread | {"command"}
 
 
 class TestReport:
@@ -503,13 +552,16 @@ class TestConfigFile:
         ("search", "no_pretrain", 1),
         ("synth", "size", None),
         ("search", "probe_size", [512]),
+        ("search", "baseline", "bogus"),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, command, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run(command, "--out", tmp_path / "out", "--seed", "1", "--config", cfg) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(cfg) in err and repr(key) in err
+        assert str(cfg) in err and repr(key) in err and json.dumps(value) in err
+        assert key != "baseline" or json.dumps(list(search.METHODS)) in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_values_as_their_flags_parse_them(self, tmp_path):
         # a JSON integer is a number; null stands where the flag defaults to it

@@ -16,11 +16,16 @@
 #             after round 1 comes from pool scoring): budget 100 in 5 rounds,
 #             top-10, 60 epochs, patience 15, probe 512; and full with
 #             --probe-size 0 --patience 0, so a finetune that runs every
-#             epoch and a search without a probe are covered too
+#             epoch and a search without a probe are covered too. Only full
+#             and ranknet are given --checkpoint
 #   report    over the seven search runs before the no-probe one
 #   default   search --baseline full into search-full-flag, the default
 #             spelled out; every file must equal search-full's, run_config.json
 #             but for its out, or the script fails
+#   unread    ws-greedy with --epochs 6, random with --lr 0.01 and vanilla-mse
+#             with --checkpoint: flags those methods do not read, so every
+#             file must equal that of the same method's run without them,
+#             run_config.json but for its out, or the script fails
 #   replay    search --config search-full/run_config.json into search-replay;
 #             every file must equal search-full's, run_config.json but for
 #             its out, or the script fails
@@ -83,9 +88,10 @@ ltrnas search --out search-full --space space/space.jsonl --checkpoint pre/check
 ltrnas search --out search-full-flag --baseline full --space space/space.jsonl --checkpoint pre/checkpoint.json \
     "${search[@]}"
 same_run search-full search-full-flag
-for baseline in ranknet vanilla-mse random ws-greedy; do
-    ltrnas search --out "search-$baseline" --baseline "$baseline" --space space/space.jsonl \
-        --checkpoint pre/checkpoint.json "${search[@]}"
+ltrnas search --out search-ranknet --baseline ranknet --space space/space.jsonl --checkpoint pre/checkpoint.json \
+    "${search[@]}"
+for baseline in vanilla-mse random ws-greedy; do
+    ltrnas search --out "search-$baseline" --baseline "$baseline" --space space/space.jsonl "${search[@]}"
 done
 ltrnas search --out search-no-pretrain --no-pretrain --space space/space.jsonl "${search[@]}"
 ltrnas search --out search-exploit --alpha 1 --space space/space.jsonl --checkpoint pre/checkpoint.json \
@@ -96,6 +102,13 @@ ltrnas report search-full search-ranknet search-vanilla-mse search-random search
     search-no-pretrain search-exploit --out report
 ltrnas search --config search-full/run_config.json --out search-replay
 same_run search-full search-replay
+ltrnas search --out search-ws-greedy-epochs --baseline ws-greedy --space space/space.jsonl "${search[@]}" --epochs 6
+same_run search-ws-greedy search-ws-greedy-epochs
+ltrnas search --out search-random-lr --baseline random --space space/space.jsonl "${search[@]}" --lr 0.01
+same_run search-random search-random-lr
+ltrnas search --out search-vanilla-mse-checkpoint --baseline vanilla-mse --space space/space.jsonl \
+    --checkpoint pre/checkpoint.json "${search[@]}"
+same_run search-vanilla-mse search-vanilla-mse-checkpoint
 
 ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
 ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
