@@ -267,27 +267,29 @@ def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) 
 
 def cmd_search(args) -> int:
     _require(args, "seed", "out", "space")
-    for flag, value, least in (("rounds", args.rounds, 1), ("probe-size", args.probe_size, 0),
-                               ("patience", args.patience, 0)):
-        if value < least:
+    method = search.METHODS[args.baseline]
+    start = method.starting_model(pretrained=not args.no_pretrain)
+    # The flag groups the run reads: the round loop's unless a selector replaces
+    # it, the finetune flags and those of the starting model where a model
+    # trains, and --no-pretrain where the method can start from the checkpoint.
+    read = (set() if method.select else {"round loop"}) | ({"finetune", start} if start else set())
+    if method.start == "checkpoint":
+        read.add("pretraining")
+    for flag, least, group in (("budget", 1, None), ("rounds", 1, "round loop"),
+                               ("probe-size", 0, "finetune"), ("patience", 0, "finetune")):
+        value = getattr(args, flag.replace("-", "_"))
+        if group in read | {None} and value < least:
             raise CliConfigError(f"--{flag} must be >= {least}, got {value}")
-    if args.budget % args.rounds != 0:
+    if "round loop" in read and args.budget % args.rounds != 0:
         raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
     out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
-    scfg = _checked(search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
-                    exploit_fraction=args.alpha, top_k=args.topk, seed=args.seed)
-    baseline = args.baseline
-    method = search.METHODS[baseline]
-    start = method.starting_model(pretrained=not args.no_pretrain)
-    needs_budget = args.budget if method.select else scfg.budget
+    scfg = None if method.select else _checked(
+        search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
+        exploit_fraction=args.alpha if start else 0.0, top_k=args.topk, seed=args.seed)
+    needs_budget = args.budget if scfg is None else scfg.budget
     if needs_budget > len(bench):
         raise CliConfigError(f"budget {needs_budget} exceeds space size {len(bench)}")
-    # The flags the run reads: the finetune flags and those of the starting model
-    # where a model trains, and --no-pretrain where the method can start from the checkpoint.
-    read = {"finetune", start} if start else set()
-    if method.start == "checkpoint":
-        read.add("pretraining")
     run_cfg = _run_config(args, out, read)
 
     final_model = None
@@ -322,7 +324,7 @@ def cmd_search(args) -> int:
         final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=method.loss, probe=probe)
 
     arch, test_acc = search.finalize(trace, bench)
-    summary = _summarize(trace, bench, run_cfg, baseline)
+    summary = _summarize(trace, bench, run_cfg, args.baseline)
     _write_json(out / "run_config.json", run_cfg)
     with _output(out / "trace.jsonl") as tmp, tmp.open("w", encoding="utf-8") as fh:
         for e in trace.entries:
@@ -341,7 +343,7 @@ def cmd_search(args) -> int:
         with _output(out / "final_model.json") as tmp:
             nn.save_checkpoint(final_model, tmp)
     _write_json(out / "summary.json", summary)
-    print(f"search[{baseline}]: chose {arch.id} with test accuracy {test_acc:.3f}")
+    print(f"search[{args.baseline}]: chose {arch.id} with test accuracy {test_acc:.3f}")
     return EXIT_OK
 
 
@@ -490,12 +492,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--space", default=None)
     p.add_argument("--budget", type=int, default=100, help="iterative samples (split into rounds)")
-    p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.5, help="exploit fraction per round")
-    p.add_argument("--topk", type=int, default=10)
     methods = list(search.METHODS)
     p.add_argument("--baseline", default=methods[0], choices=methods)
     # Flags only some methods read; cmd_search names the groups a run reads.
+    loop = p.add_argument_group("round loop", "read by a method that runs the round loop")
+    loop.add_argument("--rounds", type=int, default=5)
+    loop.add_argument("--topk", type=int, default=10)
     pretraining = p.add_argument_group("pretraining", "read by a method that starts from the pretrained model")
     pretraining.add_argument("--no-pretrain", action="store_true", help="start from a fresh model")
     checkpoint = p.add_argument_group("checkpoint", "read by a run that starts from the pretrained model")
@@ -503,6 +505,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     fresh = p.add_argument_group("fresh", "read by a run that starts from a fresh model")
     _add_model_flags(fresh)
     finetune = p.add_argument_group("finetune", "read by a run that finetunes a model")
+    finetune.add_argument("--alpha", type=float, default=0.5, help="exploit fraction per round")
     finetune.add_argument("--epochs", type=int, default=300)
     finetune.add_argument("--batch-size", type=int, default=20)
     finetune.add_argument("--lr", type=float, default=0.005)
@@ -510,7 +513,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     finetune.add_argument("--patience", type=int, default=50, help="early stop patience; 0 disables")
     finetune.add_argument("--sigma", type=float, default=1.0)
     finetune.add_argument("--probe-size", type=int, default=512, help="measurement probe size; 0 disables")
-    groups = (pretraining, checkpoint, fresh, finetune)
+    groups = (loop, pretraining, checkpoint, fresh, finetune)
     p.set_defaults(func=cmd_search, flag_groups={g.title: [a.dest for a in g._group_actions] for g in groups})
     registry["search"] = p
 

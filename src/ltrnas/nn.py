@@ -12,17 +12,18 @@ The encoder reads encodings only as packed batches, packed once per set
 (`pack`, then `Packed.take`): op indices and uint8 adjacency zero-padded to
 the largest node count; `take` copies rows out and row-normalizes them into
 float64 propagation. A row selection (`Packed.select`) shares the packed
-arrays, so a candidate pool is copied only chunk by chunk. Train runs the batch dense, with padded rows sorted after
-every real row; so does eval when the batch's padded node rows fit
-`EVAL_ROWS`. A larger eval batch runs in unpadded chunks of at most
-`EVAL_ROWS` rows within each node count, and eval keeps no activations, so
-its memory does not grow with the batch. Backward sums each reduction per
+arrays, so a candidate pool is copied only chunk by chunk. A batch runs
+dense, padded rows sorted after every real row, unless it is an eval batch
+of more than `EVAL_ROWS` padded node rows: that runs in unpadded chunks of at
+most `EVAL_ROWS` rows per node count and keeps nothing, so its memory does
+not grow with the batch. Both modes sort-pool alike: every node row is
+projected by the node-wise conv, then the selected rows are gathered; train
+mode also saves the features for backward. Backward sums each reduction per
 node-count group, so every score and gradient is bitwise that of the groups
-run one by one. Everything is double precision and the backward pass is
-exact reverse-mode differentiation of the fixed operator set above, so
-finite differences can be used as a hard oracle. Forward in eval mode is a
-pure function of (parameters, input); train mode adds seeded inverted
-dropout inside the heads.
+run one by one. Everything is double precision and backward is exact
+reverse-mode differentiation of the fixed operator set above, so finite
+differences are a hard oracle. Eval forward is a pure function of
+(parameters, input); train mode adds seeded inverted dropout in the heads.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def pack(encs: Sequence[EncodedArch]) -> Packed:
 # sort-pooling
 # ---------------------------------------------------------------------------
 
-def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.ndarray:
+def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray) -> np.ndarray:
     """The (B, min(N, k)) source rows that sort-pooling of (B, N, c) features
     selects: per item, rows descending by the last channel, ties broken by
     the remaining channels descending, then by row index. Rows at or past an
@@ -281,8 +282,7 @@ def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.nd
     re-sorted on every channel. Identical tied rows keep index order, and
     -0.0 ties with 0.0."""
     key = -h[:, :, -1]
-    if nodes is not None:
-        key[np.arange(h.shape[1]) >= nodes[:, None]] = np.inf
+    key[np.arange(h.shape[1]) >= nodes[:, None]] = np.inf
     orders = np.argsort(key, axis=1, kind="stable")
     ranked = np.take_along_axis(key, orders, axis=1)
     b, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
@@ -294,16 +294,13 @@ def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> np.nd
     return orders[:, : min(h.shape[1], k)]
 
 
-def _sort_pool(h: np.ndarray, k: int, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled rows (B, k, c) and `_sort_order`'s selection; slots past the
-    selection, or taken from padding, are +0.0. Gradients route only to the
-    selected rows."""
-    selected = _sort_order(h, k, nodes)
-    pooled = np.zeros((len(h), k, h.shape[2]))
-    pooled[:, : selected.shape[1]] = h[np.arange(len(h))[:, None], selected]
-    if nodes is not None:
-        pooled[:, : selected.shape[1]][selected >= nodes[:, None]] = 0.0
-    return pooled, selected
+def _project_pooled(h: np.ndarray, selected: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int) -> np.ndarray:
+    """Node-wise conv pre-activation (B, k, oc) of the `selected` rows of (B, N, c)
+    features, gathered after one GEMM over every row (a row's projection does not
+    depend on its GEMM's other rows); a slot past the selection holds `bias`."""
+    conv_pre = np.tile(bias, (len(h), k, 1))
+    conv_pre[:, : selected.shape[1]] = (h @ weight)[np.arange(len(h))[:, None], selected] + bias
+    return conv_pre
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -326,9 +323,8 @@ class _CellTrace:
     ops: np.ndarray                  # (B, N) layer-0 op indices
     prop: np.ndarray                 # (B, N, N) row-normalized propagation
     nodes: np.ndarray                # (B,) node counts; rows past them are padding
-    outputs: list[np.ndarray]        # tanh outputs per layer, (B, N, c_out)
+    features: np.ndarray             # (B, N, c_total) tanh outputs of every layer, concatenated
     selected: np.ndarray             # (B, k_eff) sort-pool source rows
-    pooled: np.ndarray               # (B, k, c_total)
     conv_pre: np.ndarray             # (B, k, oc) pre-activation of the 1-D conv
 
 
@@ -434,8 +430,9 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
     """Conv stack, sort-pool and node-wise conv for one cell of a dense batch
     (padding rows propagate nothing, so their features stay zero). Pooling
     reads every conv layer's output (the deep graph-conv readout), keyed on
-    the deepest layer's last channel. Eval (no `keep`) projects every row
-    before it gathers the selected ones, and saves nothing."""
+    the deepest layer's last channel. Both modes project every row before
+    they gather the selected ones; with `keep` (train mode) the features,
+    selection and pre-activations are saved for backward."""
     outputs = []
     h = p["conv0.weight"][ops]  # bitwise one-hot @ W
     for layer in range(len(cfg.conv_channels)):
@@ -444,17 +441,10 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
         h = np.tanh(prop @ h)
         outputs.append(h)
     h = np.concatenate(outputs, axis=2) if len(outputs) > 1 else h
-
-    k, weight, bias = cfg.sortpool_nodes, p["nodeconv.weight"], p["nodeconv.bias"]
-    if keep:
-        pooled, selected = _sort_pool(h, k, nodes)
-        conv_pre = pooled @ weight + bias
-    else:
-        selected = _sort_order(h, k, nodes)
-        conv_pre = np.tile(bias, (len(h), k, 1))  # what an empty slot's zero row projects to
-        conv_pre[:, : selected.shape[1]] = (h @ weight)[np.arange(len(h))[:, None], selected] + bias
+    selected = _sort_order(h, cfg.sortpool_nodes, nodes)
+    conv_pre = _project_pooled(h, selected, p["nodeconv.weight"], p["nodeconv.bias"], cfg.sortpool_nodes)
     flat = np.maximum(conv_pre, 0.0).reshape(len(h), -1)
-    return (_CellTrace(ops, prop, nodes, outputs, selected, pooled, conv_pre) if keep else None), flat
+    return (_CellTrace(ops, prop, nodes, h, selected, conv_pre) if keep else None), flat
 
 
 def backward(model: RankingModel, upstream: dict[str, np.ndarray], ctx: ForwardContext) -> None:
@@ -512,9 +502,14 @@ def _flat_outer(x: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
     """Yield (weight name, per-group gradient sum) for one cell, top-down;
     each sum must be taken before the next item is requested."""
-    batch_n = len(d_flat)
+    batch_n, k_eff = len(d_flat), cell.selected.shape[1]
+    items = np.arange(batch_n)[:, None]
+    # The pooled rows: empty slots, and selected padding rows, are +0.0.
+    pooled = np.zeros((batch_n, cfg.sortpool_nodes, cell.features.shape[2]))
+    pooled[:, :k_eff] = cell.features[items, cell.selected]
+    pooled[:, :k_eff][cell.selected >= cell.nodes[:, None]] = 0.0
     d_conv = d_flat.reshape(batch_n, cfg.sortpool_nodes, cfg.conv1d_channels) * (cell.conv_pre > 0.0)
-    yield "nodeconv.weight", lambda s: _flat_outer(cell.pooled[s], d_conv[s])
+    yield "nodeconv.weight", lambda s: _flat_outer(pooled[s], d_conv[s])
     yield "nodeconv.bias", lambda s: d_conv[s].sum(axis=(0, 1))
     d_pooled = d_conv @ p["nodeconv.weight"].T
 
@@ -522,11 +517,12 @@ def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
     # concatenated per-layer features, then walk the conv stack top-down;
     # each layer's output receives gradient both from its readout segment
     # and from the layer above. Weight gradients sum over real rows only.
-    d_concat = np.zeros((batch_n, cell.prop.shape[1], sum(cfg.conv_channels)))
-    d_concat[np.arange(batch_n)[:, None], cell.selected] = d_pooled[:, : cell.selected.shape[1]]
+    d_concat = np.zeros_like(cell.features)
+    d_concat[items, cell.selected] = d_pooled[:, :k_eff]
     bounds = np.cumsum([0, *cfg.conv_channels])
+    outputs = [cell.features[:, :, a:b] for a, b in zip(bounds, bounds[1:])]
     prop_t = np.transpose(cell.prop, (0, 2, 1))
-    inputs = [np.eye(cfg.vocab_size)[cell.ops], *cell.outputs[:-1]]
+    inputs = [np.eye(cfg.vocab_size)[cell.ops], *outputs[:-1]]
     def real(a, s):  # the rows of node-count group s that are not padding
         return a[s, : cell.nodes[s.start]]
     d_chain = None
@@ -534,7 +530,7 @@ def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
         d_nodes = d_concat[:, :, bounds[layer] : bounds[layer + 1]]
         if d_chain is not None:
             d_nodes = d_nodes + d_chain
-        d_lin = prop_t @ (d_nodes * (1.0 - cell.outputs[layer] ** 2))
+        d_lin = prop_t @ (d_nodes * (1.0 - outputs[layer] ** 2))
         x = inputs[layer]
         yield f"conv{layer}.weight", lambda s: _flat_outer(real(x, s), real(d_lin, s))
         if layer > 0:
@@ -626,7 +622,7 @@ def save_checkpoint(model: RankingModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> RankingModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a ranking-model checkpoint")
     if doc.get("version") == 1:
         raise ValueError(f"{path}: checkpoint version 1 predates the recorded op vocabulary; re-run pretrain")

@@ -210,7 +210,11 @@ class TestSearch:
         (["--baseline", "random", "--lr", "0.005"], ["--lr", "0.01"]),
         (["--baseline", "vanilla-mse"], ["--checkpoint", "pre"]),
         (["--no-pretrain"], ["--checkpoint", "pre"]),
-    ], ids=["ws-greedy-epochs", "random-lr", "vanilla-mse-checkpoint", "no-pretrain-checkpoint"])
+        (["--baseline", "ws-greedy", "--topk", "3"], ["--topk", "4"]),
+        (["--baseline", "ws-greedy"], ["--rounds", "3"]),
+        (["--baseline", "random", "--alpha", "0.5"], ["--alpha", "0.9"]),
+    ], ids=["ws-greedy-epochs", "random-lr", "vanilla-mse-checkpoint", "no-pretrain-checkpoint", "ws-greedy-topk",
+            "ws-greedy-rounds", "random-alpha"])
     def test_unread_flag_changes_no_byte(self, tmp_path, space_dir, pretrain_dir, first, second):
         # a flag the method never reads is neither recorded nor hashed: the two runs
         # share config_hash and every byte but the recorded out, and either replays the other
@@ -232,6 +236,18 @@ class TestSearch:
                     assert cfgs[0] == cfgs[1]
                 else:
                     assert (other / name).read_bytes() == (a / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag, value", [("budget", "7"), ("patience", "-1"), ("probe-size", "-5"),
+                                             ("rounds", "0"), ("topk", "0"), ("alpha", "2"), ("epochs", "0")])
+    def test_ws_greedy_ignores_round_and_finetune_flags(self, tmp_path, space_dir, pretrain_dir, flag, value):
+        # ws-greedy reads only the budget: a round or finetune flag it ignores is
+        # neither range-checked nor recorded, and its run_config.json replays it
+        out, replay = tmp_path / "run", tmp_path / "replay"
+        argv = search_args(space_dir, pretrain_dir, out, seed=6, baseline="ws-greedy")
+        assert run(*argv, f"--{flag}", value) == EXIT_OK
+        assert len((out / "trace.jsonl").read_text().splitlines()) == (7 if flag == "budget" else 20)
+        assert run("search", "--config", out / "run_config.json", "--out", replay) == EXIT_OK
+        assert (replay / "trace.jsonl").read_bytes() == (out / "trace.jsonl").read_bytes()
 
     def test_random_baseline_origins(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "rand"
@@ -300,6 +316,15 @@ class TestSearch:
         argv = search_args(space_dir, pretrain_dir, tmp_path / "bad-ckpt")
         argv[argv.index("--checkpoint") + 1] = bad
         assert run(*argv) == EXIT_CONFIG
+
+    def test_non_object_checkpoint_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        argv = search_args(space_dir, pretrain_dir, tmp_path / "list")
+        argv[argv.index("--checkpoint") + 1] = bad
+        assert run(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not a ranking-model checkpoint" in err and "Traceback" not in err
 
     def test_permuted_vocabulary_is_config_error(self, tmp_path, space_dir, pretrain_dir, capsys):
         # same ops and vocabulary size, another order: the checkpoint's op
@@ -442,11 +467,11 @@ class TestRunConfig:
         assert run_cfg["command"] == command
 
     @pytest.mark.parametrize("extra, groups", [
-        (["--baseline", "full"], {"pretraining", "checkpoint", "finetune"}),
-        (["--baseline", "ranknet"], {"pretraining", "checkpoint", "finetune"}),
-        (["--no-pretrain"], {"pretraining", "fresh", "finetune"}),
-        (["--baseline", "vanilla-mse"], {"fresh", "finetune"}),
-        (["--baseline", "random"], set()),
+        (["--baseline", "full"], {"round loop", "pretraining", "checkpoint", "finetune"}),
+        (["--baseline", "ranknet"], {"round loop", "pretraining", "checkpoint", "finetune"}),
+        (["--no-pretrain"], {"round loop", "pretraining", "fresh", "finetune"}),
+        (["--baseline", "vanilla-mse"], {"round loop", "fresh", "finetune"}),
+        (["--baseline", "random"], {"round loop"}),
         (["--baseline", "ws-greedy"], set()),
     ], ids=["full", "ranknet", "no-pretrain", "vanilla-mse", "random", "ws-greedy"])
     def test_search_keys_are_the_flags_its_method_reads(self, tmp_path, space_dir, pretrain_dir, extra, groups):

@@ -248,6 +248,21 @@ class TestPacked:
             forward(model, nn.pack(group))
         assert len(calls) == math.ceil(7 * 5 / budget)
 
+    @pytest.mark.parametrize("n_cells", [1, 2])
+    def test_train_scores_are_eval_scores_bitwise(self, mixed_encs, n_cells):
+        # without dropout, train mode's one padded batch scores what eval's
+        # unpadded node-count chunks score: one pooling path serves both
+        cfg, encs = mixed_encs[n_cells]
+        model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
+        model.store.params["nodeconv.bias"][0] = 0.3
+        packed = nn.pack(encs).select(np.tile(np.arange(len(encs)), 10))
+        assert len(packed) * packed.nodes.max(axis=0).sum() > nn.EVAL_ROWS
+        assert len(np.unique(packed.nodes, axis=0)) > 2
+        evaluated, _ = forward_heads(model, packed, HEADS)
+        trained, _ = forward_heads(model, packed, HEADS, train_mode=True)
+        for head in HEADS:
+            np.testing.assert_array_equal(trained[head].view(np.int64), evaluated[head].view(np.int64))
+
     def test_eval_memory_flat_in_pool_size(self):
         # the bench model over pools of 5-11 nodes: one eval forward's peak
         # allocation stays within the chunk budget however many items it scores
@@ -299,16 +314,20 @@ class TestPacked:
     )
     def test_padding_sorts_after_every_real_row(self, case):
         # the encoder's padding rows are +-0.0, which would sort ahead of a
-        # real row whose last channel is negative if padding were not keyed last
+        # real row whose last channel is negative if padding were not keyed last;
+        # a selected padding row projects as the empty slot of an unpadded item
         z, nodes = case
         z[1, : nodes[1], -1] = -1.0
         z[np.arange(z.shape[1]) >= nodes[:, None]] = -0.0
+        weight, bias = _pool_weights(z.shape[2])
         for k in (z.shape[1] - 1, z.shape[1] + 1):
-            pooled, selected = nn._sort_pool(z, k, nodes)
+            selected = nn._sort_order(z, k, nodes)
+            projected = nn._project_pooled(z, selected, weight, bias, k)
             for b, n in enumerate(nodes):
-                alone, alone_selected = nn._sort_pool(z[b : b + 1, :n], k)
+                alone_selected = nn._sort_order(z[b : b + 1, :n], k, np.array([n]))
+                alone = nn._project_pooled(z[b : b + 1, :n], alone_selected, weight, bias, k)
                 np.testing.assert_array_equal(selected[b, : min(n, k)], alone_selected[0])
-                np.testing.assert_array_equal(pooled[b].view(np.int64), alone[0].view(np.int64))
+                np.testing.assert_array_equal(projected[b].view(np.int64), alone[0].view(np.int64))
 
     def test_take_of_a_taken_batch_raises(self, mixed_encs):
         # a taken batch is already row-normalized, so taking from it again
@@ -418,19 +437,43 @@ class TestDropout:
         assert np.all(np.abs(mc_mean - eval_scores) <= 3.0 * mc_sem + 1e-12)
 
 
+def _pool_weights(c: int, out: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """A node-wise conv weight (c, out) whose every column picks one channel
+    scaled by a power of two, and a bias of quarter steps: each projected
+    value is one exact product plus the bias, whatever GEMM computes it."""
+    rng = np.random.default_rng(c)
+    weight = np.zeros((c, out))
+    weight[rng.integers(0, c, size=out), np.arange(out)] = rng.choice([-2.0, -0.5, 0.5, 1.0], size=out)
+    return weight, rng.integers(1, 5, size=out) / 4.0
+
+
+def _reference_pool(z: np.ndarray, k: int, weight: np.ndarray, bias: np.ndarray):
+    """Brute-force sort-pooling of one item's (n, c) rows: the selected
+    order, the k pooled rows (+0.0 past the selection) and their projection."""
+    n = len(z)
+    order = sorted(range(n), key=lambda i: (tuple(-z[i, ::-1]), i))[:k]
+    pooled = np.zeros((k, z.shape[1]))
+    pooled[: len(order)] = z[order]
+    return order, pooled, pooled @ weight + bias
+
+
 class TestSortPool:
     def test_identity_when_sorted(self):
         z = np.array([[[0.1, 3.0], [0.2, 2.0], [0.3, 1.0]]])
-        pooled, sel = nn._sort_pool(z, 3)
-        np.testing.assert_array_equal(pooled, z)
+        weight, bias = _pool_weights(2)
+        sel = nn._sort_order(z, 3, np.array([3]))
         np.testing.assert_array_equal(sel, [[0, 1, 2]])
+        np.testing.assert_array_equal(nn._project_pooled(z, sel, weight, bias, 3), z @ weight + bias)
 
     def test_zero_padding(self):
+        # slots past an item's rows hold what a +0.0 row projects to: the bias
         z = np.array([[[1.0, 5.0], [2.0, 7.0]]])
-        pooled, sel = nn._sort_pool(z, 4)
-        np.testing.assert_array_equal(pooled[0, :2], z[0, [1, 0]])
-        np.testing.assert_array_equal(pooled[0, 2:], 0.0)
+        weight, bias = _pool_weights(2)
+        sel = nn._sort_order(z, 4, np.array([2]))
         np.testing.assert_array_equal(sel, [[1, 0]])
+        projected = nn._project_pooled(z, sel, weight, bias, 4)
+        np.testing.assert_array_equal(projected[0, :2], z[0, [1, 0]] @ weight + bias)
+        np.testing.assert_array_equal(projected[0, 2:], np.broadcast_to(np.zeros(2) @ weight + bias, (2, 3)))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -439,11 +482,11 @@ class TestSortPool:
             c = int(rng.integers(1, 5))
             k = int(rng.integers(1, 10))
             z = np.round(rng.standard_normal((n, c)), 1)
-            pooled, _ = nn._sort_pool(z[None], k)
-            order = sorted(range(n), key=lambda i: (tuple(-z[i, ::-1]), i))
-            ref = np.zeros((k, c))
-            ref[: min(n, k)] = z[order[: min(n, k)]]
-            np.testing.assert_array_equal(pooled[0], ref)
+            weight, bias = _pool_weights(c)
+            order, _, ref = _reference_pool(z, k, weight, bias)
+            sel = nn._sort_order(z[None], k, np.array([n]))
+            np.testing.assert_array_equal(sel[0], order)
+            np.testing.assert_array_equal(nn._project_pooled(z[None], sel, weight, bias, k)[0], ref)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
@@ -460,17 +503,19 @@ class TestSortPool:
         z[1, 1, -1] = z[1, 0, -1]
         z[1, 1, 0] = -1.0 if z[1, 0, 0] == 1.0 else 1.0
         z[2, :, -1] = np.arange(n) * 0.25
+        weight, bias = _pool_weights(c)
         for k in (n - 1, n, n + 2):
-            pooled, selected = nn._sort_pool(z, k)
-            assert pooled.shape == (batch_n, k, c)
+            selected = nn._sort_order(z, k, np.full(batch_n, n))
+            projected = nn._project_pooled(z, selected, weight, bias, k)
             assert selected.shape == (batch_n, min(n, k))
+            assert projected.shape == (batch_n, k, 3)
             for b in range(batch_n):
-                order = sorted(range(n), key=lambda i: (tuple(-z[b, i, ::-1]), i))
-                ref = np.zeros((k, c))
-                ref[: min(n, k)] = z[b, order[: min(n, k)]]
-                np.testing.assert_array_equal(selected[b], order[:k])
-                # bitwise, so -0.0 rows stay -0.0 and padded rows are +0.0
-                np.testing.assert_array_equal(pooled[b].view(np.int64), ref.view(np.int64))
+                order, pooled, ref = _reference_pool(z[b], k, weight, bias)
+                np.testing.assert_array_equal(selected[b], order)
+                # bitwise, so -0.0 rows stay -0.0 and the pooled rows project as
+                # the +0.0-padded rows of the reference do
+                np.testing.assert_array_equal(z[b, selected[b]].view(np.int64), pooled[: len(order)].view(np.int64))
+                np.testing.assert_array_equal(projected[b].view(np.int64), ref.view(np.int64))
 
 
 def _fd_check(model_cfg, encs, batch_size, h=1e-5):
@@ -722,6 +767,13 @@ class TestCheckpoint:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"ltrnas-checkpoint"', "null", "7"])
+    def test_rejects_non_object_document(self, tmp_path, text):
+        path = tmp_path / "bogus.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a ranking-model checkpoint"):
             load_checkpoint(path)
 
     def test_rejects_version_1(self, tmp_path):

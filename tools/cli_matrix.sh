@@ -22,10 +22,14 @@
 #   default   search --baseline full into search-full-flag, the default
 #             spelled out; every file must equal search-full's, run_config.json
 #             but for its out, or the script fails
-#   unread    ws-greedy with --epochs 6, random with --lr 0.01 and vanilla-mse
-#             with --checkpoint: flags those methods do not read, so every
-#             file must equal that of the same method's run without them,
-#             run_config.json but for its out, or the script fails
+#   unread    ws-greedy with --epochs 6, random with --lr 0.01 or --alpha 0.9
+#             and vanilla-mse with --checkpoint: flags those methods do not
+#             read, so every file must equal that of the same method's run
+#             without them, run_config.json but for its out, or the script
+#             fails; the same for ws-greedy with --topk 3 against --topk 4.
+#             ws-greedy reads no round flag, so it also runs with --budget 7,
+#             which 5 rounds do not divide, and its --config replay must
+#             equal it
 #   replay    search --config search-full/run_config.json into search-replay;
 #             every file must equal search-full's, run_config.json but for
 #             its out, or the script fails
@@ -109,6 +113,16 @@ same_run search-random search-random-lr
 ltrnas search --out search-vanilla-mse-checkpoint --baseline vanilla-mse --space space/space.jsonl \
     --checkpoint pre/checkpoint.json "${search[@]}"
 same_run search-vanilla-mse search-vanilla-mse-checkpoint
+ltrnas search --out search-random-alpha --baseline random --space space/space.jsonl "${search[@]}" --alpha 0.9
+same_run search-random search-random-alpha
+for topk in 3 4; do
+    ltrnas search --out "search-ws-greedy-top$topk" --baseline ws-greedy --space space/space.jsonl "${search[@]}" \
+        --topk "$topk"
+done
+same_run search-ws-greedy-top3 search-ws-greedy-top4
+ltrnas search --out search-ws-greedy-budget --baseline ws-greedy --space space/space.jsonl "${search[@]}" --budget 7
+ltrnas search --config search-ws-greedy-budget/run_config.json --out search-ws-greedy-budget-replay
+same_run search-ws-greedy-budget search-ws-greedy-budget-replay
 
 ltrnas synth --out space-two-cells --seed 4 --size 800 --cells 2 "${space[@]}"
 ltrnas pretrain --out pre-two-cells --seed 5 --space space-two-cells/space.jsonl --sample 800 --lr 0.005 \
