@@ -215,19 +215,19 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _require(args, "seed", "out", "space")
+    if args.sample < 2:
+        raise CliConfigError(f"--sample must be >= 2, got {args.sample}")
+    tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs,
+                    lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
     out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
     run_cfg = _run_config(args, out)
 
-    if args.sample < 2:
-        raise CliConfigError(f"--sample must be >= 2, got {args.sample}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
     packed, weak = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
 
     model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
-    tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs,
-                    lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
     result = ltr.pretrain(model, packed, weak, tcfg)
 
     with _output(out / "checkpoint.json") as tmp:
@@ -282,11 +282,15 @@ def cmd_search(args) -> int:
             raise CliConfigError(f"--{flag} must be >= {least}, got {value}")
     if "round loop" in read and args.budget % args.rounds != 0:
         raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
-    out = _prepare_out_dir(args.out)
-    bench = _load_space(args.space)
     scfg = None if method.select else _checked(
         search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
         exploit_fraction=args.alpha if start else 0.0, top_k=args.topk, seed=args.seed)
+    tcfg = None if start is None else _checked(
+        ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
+        weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
+        early_stop_patience=args.patience if args.patience > 0 else None)
+    out = _prepare_out_dir(args.out)
+    bench = _load_space(args.space)
     needs_budget = args.budget if scfg is None else scfg.budget
     if needs_budget > len(bench):
         raise CliConfigError(f"budget {needs_budget} exceeds space size {len(bench)}")
@@ -316,9 +320,6 @@ def cmd_search(args) -> int:
             if (model.config.n_cells, model.config.hparam_dim) != shape:
                 raise CliConfigError(f"checkpoint was trained for {model.config.n_cells} cell(s) and hparam_dim "
                                      f"{model.config.hparam_dim}, the space has {shape[0]} and {shape[1]}")
-        tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
-                        weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
-                        early_stop_patience=args.patience if args.patience > 0 else None)
         view = search.SearchView(bench)
         probe = search.make_probe(bench, args.probe_size, seed=args.seed) if args.probe_size > 0 else None
         final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=method.loss, probe=probe)

@@ -18,12 +18,15 @@ of more than `EVAL_ROWS` padded node rows: that runs in unpadded chunks of at
 most `EVAL_ROWS` rows per node count and keeps nothing, so its memory does
 not grow with the batch. Both modes sort-pool alike: every node row is
 projected by the node-wise conv, then the selected rows are gathered; train
-mode also saves the features for backward. Backward sums each reduction per
-node-count group, so every score and gradient is bitwise that of the groups
-run one by one. Everything is double precision and backward is exact
-reverse-mode differentiation of the fixed operator set above, so finite
-differences are a hard oracle. Eval forward is a pure function of
-(parameters, input); train mode adds seeded inverted dropout in the heads.
+mode also saves the features for backward. Every score is bitwise
+independent of the batch its item sits in. Backward takes each weight and
+bias gradient as one reduction over the whole padded batch, to which padding
+rows add exact zeros: a batch's gradients are deterministic, and equal those
+of its node-count groups run one by one up to rounding. Everything is double
+precision and backward is exact reverse-mode differentiation of the fixed
+operator set above, so finite differences are a hard oracle. Eval forward is
+a pure function of (parameters, input); train mode adds seeded inverted
+dropout in the heads, drawn per node-count group (`_dense_forward`).
 """
 
 from __future__ import annotations
@@ -322,8 +325,7 @@ EVAL_ROWS = 1024
 class _CellTrace:
     ops: np.ndarray                  # (B, N) layer-0 op indices
     prop: np.ndarray                 # (B, N, N) row-normalized propagation
-    nodes: np.ndarray                # (B,) node counts; rows past them are padding
-    features: np.ndarray             # (B, N, c_total) tanh outputs of every layer, concatenated
+    outputs: list[np.ndarray]        # (B, N, c) tanh output of each conv layer
     selected: np.ndarray             # (B, k_eff) sort-pool source rows
     conv_pre: np.ndarray             # (B, k, oc) pre-activation of the 1-D conv
 
@@ -346,7 +348,6 @@ class ForwardContext:
     batch_size: int
     store_version: int
     order: np.ndarray                # batch positions in ascending node-count order
-    bounds: list[int]                # node-count group boundaries within `order`
     saved: _Activations | None = None  # train mode only, items in `order`
 
 
@@ -371,7 +372,7 @@ def forward_heads(
 
     order = np.lexsort(batch.nodes.T[::-1])
     bounds = [0, *(np.flatnonzero(np.diff(batch.nodes[order], axis=0).any(axis=1)) + 1).tolist(), len(order)]
-    ctx = ForwardContext(tuple(heads), train_mode, len(batch), model.store.version, order, bounds)
+    ctx = ForwardContext(tuple(heads), train_mode, len(batch), model.store.version, order)
     # Train mode, and an eval batch whose padded rows fit the budget, run as one
     # dense chunk; a larger eval batch runs each node-count group in unpadded
     # chunks of at most EVAL_ROWS rows (at least one item).
@@ -402,7 +403,10 @@ def forward(
 
 def _dense_forward(model, packed: Packed, heads, bounds, rng, ctx: ForwardContext | None) -> dict[str, np.ndarray]:
     """Encoder and heads over one dense batch. With a context (train mode), dropout
-    is drawn per node-count group of `bounds`, then per head, and activations are saved."""
+    is drawn per node-count group of `bounds`, then per head, and activations are
+    saved. That draw order gives each item the mask it got when every group ran
+    as its own batch; another order would change every training run by whole
+    masks rather than by rounding."""
     cfg, p = model.config, model.store.params
     cells, flats = zip(*(_encode_cell(cfg, p, *x, ctx is not None) for x in zip(packed.ops, packed.prop, packed.nodes.T)))
     hp_norm = hp_out = None
@@ -431,8 +435,9 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
     (padding rows propagate nothing, so their features stay zero). Pooling
     reads every conv layer's output (the deep graph-conv readout), keyed on
     the deepest layer's last channel. Both modes project every row before
-    they gather the selected ones; with `keep` (train mode) the features,
-    selection and pre-activations are saved for backward."""
+    they gather the selected ones; with `keep` (train mode) the per-layer
+    outputs, their concatenation, the selection and the pre-activations are
+    saved for backward."""
     outputs = []
     h = p["conv0.weight"][ops]  # bitwise one-hot @ W
     for layer in range(len(cfg.conv_channels)):
@@ -444,95 +449,81 @@ def _encode_cell(cfg, p, ops, prop, nodes, keep):
     selected = _sort_order(h, cfg.sortpool_nodes, nodes)
     conv_pre = _project_pooled(h, selected, p["nodeconv.weight"], p["nodeconv.bias"], cfg.sortpool_nodes)
     flat = np.maximum(conv_pre, 0.0).reshape(len(h), -1)
-    return (_CellTrace(ops, prop, nodes, h, selected, conv_pre) if keep else None), flat
+    return (_CellTrace(ops, prop, outputs, selected, conv_pre) if keep else None), flat
 
 
 def backward(model: RankingModel, upstream: dict[str, np.ndarray], ctx: ForwardContext) -> None:
     """Accumulate exact gradients of sum over heads of upstream[head] * scores[head]
-    into the store; `upstream` maps every head the forward pass ran to a
-    length-B array."""
+    into the store; `upstream` maps every head the forward pass ran, and no
+    other, to a length-B array. Each weight and bias gradient is one reduction
+    over the whole dense batch, so a batch's gradients are deterministic, and
+    equal the sum of its node-count sub-batches' gradients up to rounding."""
     if not ctx.train_mode:
         raise ValueError("backward needs activations recorded in train mode")
     if ctx.store_version != model.store.version:
         raise ValueError("stale activations: parameters changed since forward")
+    for h in upstream:
+        if h not in ctx.heads:
+            raise ValueError(f"upstream for head {h!r}, which the forward pass did not run")
     ups = {h: np.asarray(upstream[h], dtype=np.float64) for h in ctx.heads}
     for h, u in ups.items():
         if u.shape != (ctx.batch_size,):
             raise ValueError(f"upstream for head {h!r} has shape {u.shape}, want ({ctx.batch_size},)")
 
     cfg, p, g, t = model.config, model.store.params, model.store.grads, ctx.saved
-    groups = [slice(lo, hi) for lo, hi in zip(ctx.bounds, ctx.bounds[1:])]
-
-    def reduce(name, *parts):  # group by group, ascending; in each, the parts (cells) in order
-        for s in groups:
-            for part in parts:
-                g[name] += part(s)
-
-    per_cell = cfg.sortpool_nodes * cfg.conv1d_channels
     d_embed = np.zeros_like(t.embed)
     for head in ctx.heads:
         u = ups[head][ctx.order][:, None]
-        dropped, mask, w1 = t.head_dropped[head], t.head_mask[head], p[f"head_{head}.w1"]
-        reduce(f"head_{head}.w2", lambda s: dropped[s].T @ u[s])
-        reduce(f"head_{head}.b2", lambda s: u[s].sum(axis=0))
+        mask = t.head_mask[head]
+        g[f"head_{head}.w2"] += t.head_dropped[head].T @ u
+        g[f"head_{head}.b2"] += u.sum(axis=0)
         d_act = u @ p[f"head_{head}.w2"].T
         if mask is not None:
             d_act = d_act * mask / (1.0 - cfg.dropout)
         d_pre = d_act * (t.head_pre[head] > 0.0)
-        reduce(f"head_{head}.w1", lambda s: t.embed[s].T @ d_pre[s])
-        reduce(f"head_{head}.b1", lambda s: d_pre[s].sum(axis=0))
-        d_embed += np.concatenate([d_pre[s] @ w1.T for s in groups])
+        g[f"head_{head}.w1"] += t.embed.T @ d_pre
+        g[f"head_{head}.b1"] += d_pre.sum(axis=0)
+        d_embed += d_pre @ p[f"head_{head}.w1"].T
 
+    cells_end = cfg.n_cells * cfg.sortpool_nodes * cfg.conv1d_channels
     if cfg.hparam_dim > 0:
-        d_hp_pre = d_embed[:, cfg.n_cells * per_cell :] * (1.0 - t.hp_out**2)
-        reduce("hproj.weight", lambda s: t.hp_norm[s].T @ d_hp_pre[s])
-        reduce("hproj.bias", lambda s: d_hp_pre[s].sum(axis=0))
-
-    d_cells = np.split(d_embed[:, : cfg.n_cells * per_cell], cfg.n_cells, axis=1)
-    cells = [_backward_cell(cfg, p, cell, d_flat) for cell, d_flat in zip(t.cells, d_cells)]
-    for stage in zip(*cells):  # the cells' generators in lockstep, one weight at a time
-        reduce(stage[0][0], *(part for _, part in stage))
+        d_hp_pre = d_embed[:, cells_end:] * (1.0 - t.hp_out**2)
+        g["hproj.weight"] += t.hp_norm.T @ d_hp_pre
+        g["hproj.bias"] += d_hp_pre.sum(axis=0)
+    for cell, d_flat in zip(t.cells, np.split(d_embed[:, :cells_end], cfg.n_cells, axis=1)):
+        _backward_cell(cfg, p, g, cell, d_flat)
 
 
 def _flat_outer(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """sum over (batch, row) of x_row^T d_row, as one GEMM."""
-    return np.ascontiguousarray(x).reshape(-1, x.shape[-1]).T @ np.ascontiguousarray(d).reshape(-1, d.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ d.reshape(-1, d.shape[-1])
 
 
-def _backward_cell(cfg, p, cell: _CellTrace, d_flat: np.ndarray):
-    """Yield (weight name, per-group gradient sum) for one cell, top-down;
-    each sum must be taken before the next item is requested."""
-    batch_n, k_eff = len(d_flat), cell.selected.shape[1]
-    items = np.arange(batch_n)[:, None]
-    # The pooled rows: empty slots, and selected padding rows, are +0.0.
-    pooled = np.zeros((batch_n, cfg.sortpool_nodes, cell.features.shape[2]))
-    pooled[:, :k_eff] = cell.features[items, cell.selected]
-    pooled[:, :k_eff][cell.selected >= cell.nodes[:, None]] = 0.0
+def _backward_cell(cfg, p, g, cell: _CellTrace, d_flat: np.ndarray) -> None:
+    """Add one cell's encoder gradients into `g`, top-down. Padding rows add
+    exact zeros: their features are zero, and their rows and columns of the
+    propagation are zero, so no gradient reaches them or leaves them."""
+    batch_n, n = cell.ops.shape
     d_conv = d_flat.reshape(batch_n, cfg.sortpool_nodes, cfg.conv1d_channels) * (cell.conv_pre > 0.0)
-    yield "nodeconv.weight", lambda s: _flat_outer(pooled[s], d_conv[s])
-    yield "nodeconv.bias", lambda s: d_conv[s].sum(axis=(0, 1))
-    d_pooled = d_conv @ p["nodeconv.weight"].T
+    g["nodeconv.bias"] += d_conv.sum(axis=(0, 1))
+    # Each pooled slot's gradient goes back onto its source row. Every row was
+    # projected (`_project_pooled`), so each layer's block of the node-wise conv
+    # weight takes one GEMM over all rows of that layer's output.
+    d_proj = np.zeros((batch_n, n, cfg.conv1d_channels))
+    d_proj[np.arange(batch_n)[:, None], cell.selected] = d_conv[:, : cell.selected.shape[1]]
 
-    # Scatter pooled gradients back onto the selected rows of the
-    # concatenated per-layer features, then walk the conv stack top-down;
-    # each layer's output receives gradient both from its readout segment
-    # and from the layer above. Weight gradients sum over real rows only.
-    d_concat = np.zeros_like(cell.features)
-    d_concat[items, cell.selected] = d_pooled[:, :k_eff]
+    # Walk the conv stack top-down; each layer's output receives gradient both
+    # from its readout block and from the layer above.
     bounds = np.cumsum([0, *cfg.conv_channels])
-    outputs = [cell.features[:, :, a:b] for a, b in zip(bounds, bounds[1:])]
+    inputs = [np.eye(cfg.vocab_size)[cell.ops], *cell.outputs[:-1]]
     prop_t = np.transpose(cell.prop, (0, 2, 1))
-    inputs = [np.eye(cfg.vocab_size)[cell.ops], *outputs[:-1]]
-    def real(a, s):  # the rows of node-count group s that are not padding
-        return a[s, : cell.nodes[s.start]]
-    d_chain = None
+    d_chain = 0.0
     for layer in range(len(cfg.conv_channels) - 1, -1, -1):
-        d_nodes = d_concat[:, :, bounds[layer] : bounds[layer + 1]]
-        if d_chain is not None:
-            d_nodes = d_nodes + d_chain
-        d_lin = prop_t @ (d_nodes * (1.0 - outputs[layer] ** 2))
-        x = inputs[layer]
-        yield f"conv{layer}.weight", lambda s: _flat_outer(real(x, s), real(d_lin, s))
+        block = slice(bounds[layer], bounds[layer + 1])
+        g["nodeconv.weight"][block] += _flat_outer(cell.outputs[layer], d_proj)
+        d_nodes = d_proj @ p["nodeconv.weight"][block].T + d_chain
+        d_lin = prop_t @ (d_nodes * (1.0 - cell.outputs[layer] ** 2))
+        g[f"conv{layer}.weight"] += _flat_outer(inputs[layer], d_lin)
         if layer > 0:
             d_chain = d_lin @ p[f"conv{layer}.weight"].T
 

@@ -423,6 +423,27 @@ class TestSearch:
         assert f"{field} must be finite, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("pretrain", "epochs", "0", "epochs must be >= 1"),
+        ("pretrain", "sample", "1", "--sample must be >= 2"),
+        ("search", "epochs", "0", "epochs must be >= 1"),
+        ("search", "topk", "0", "top_k must be >= 1"),
+    ])
+    def test_bad_run_flag_refused_before_any_output(self, tmp_path, space_dir, pretrain_dir, capsys,
+                                                    command, flag, value, message):
+        # refused before the output directory is made or the space is read (a
+        # missing space would exit EXIT_IO)
+        out = tmp_path / "bad"
+        if command == "search":
+            argv = search_args(space_dir, pretrain_dir, out)
+        else:
+            argv = ["pretrain", "--out", out, "--seed", "1", "--space", space_dir / "space.jsonl",
+                    "--sample", "40", "--epochs", "1", *SMALL_MODEL]
+        argv[argv.index("--space") + 1] = tmp_path / "missing.jsonl"
+        assert run(*argv, f"--{flag}", value) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):
         out = tmp_path / "odd"
         argv = search_args(space_dir, pretrain_dir, out)

@@ -281,27 +281,30 @@ class TestPacked:
         assert peaks[1] - peaks[0] < 1_000_000, peaks
 
     @pytest.mark.parametrize("n_cells", [1, 2])
-    def test_backward_equals_node_count_groups_in_order(self, mixed_encs, n_cells):
-        # without dropout, one dense batch accumulates exactly the gradients of
-        # its node-count sub-batches run one after another, ascending
+    def test_backward_is_the_sum_of_node_count_groups(self, mixed_encs, n_cells):
+        # without dropout, one padded batch's gradients are the sum of its
+        # node-count sub-batches' (which have no padding), up to rounding; the
+        # same batch run twice gives the same bits
         cfg, encs = mixed_encs[n_cells]
         model = build_model(ModelConfig(**{**cfg.__dict__, "dropout": 0.0}))
         batch = encs[:20]
         rng = np.random.default_rng(3)
         ups = {head: rng.standard_normal(len(batch)) for head in HEADS}
-        _, ctx = forward_heads(model, nn.pack(batch), HEADS, train_mode=True)
-        backward(model, ups, ctx)
-        dense = {k: v.copy() for k, v in model.store.grads.items()}
-        for g in model.store.grads.values():
-            g[...] = 0.0
-        keys = [tuple(map(len, enc.ops)) for enc in batch]
-        assert len(set(keys)) > 2
-        for key in sorted(set(keys)):
-            idx = [i for i, k in enumerate(keys) if k == key]
+
+        def grads(idx):
+            model.store.release()
             _, ctx = forward_heads(model, nn.pack([batch[i] for i in idx]), HEADS, train_mode=True)
             backward(model, {head: u[idx] for head, u in ups.items()}, ctx)
+            return {k: v.copy() for k, v in model.store.grads.items()}
+
+        dense = grads(range(len(batch)))
+        for name, grad in grads(range(len(batch))).items():
+            np.testing.assert_array_equal(grad.view(np.int64), dense[name].view(np.int64), err_msg=name)
+        keys = [tuple(map(len, enc.ops)) for enc in batch]
+        assert len(set(keys)) > 2
+        parts = [grads([i for i, k in enumerate(keys) if k == key]) for key in sorted(set(keys))]
         for name, grad in dense.items():
-            np.testing.assert_array_equal(grad.view(np.int64), model.store.grads[name].view(np.int64), err_msg=name)
+            np.testing.assert_allclose(grad, sum(part[name] for part in parts), rtol=1e-12, err_msg=name)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(
@@ -568,20 +571,24 @@ class TestBackward:
             assert np.all(m.store.grads[name] == 0.0)
 
     def test_linearity_across_items(self, tiny_encs):
-        # upstream (1, 0) on a 2-batch equals the sum of two single-item calls
-        m = build_model(TINY)
-        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
-        backward(m, {"rank": np.array([1.0, 0.0])}, ctx)
-        joint = {k: v.copy() for k, v in m.store.grads.items()}
-        for g in m.store.grads.values():
-            g[...] = 0.0
-        # dropout masks differ between batch layouts, so compare against the
-        # same batch with upstream masking instead
-        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=5)
-        backward(m, {"rank": np.array([1.0, 0.0])}, ctx)
-        again = {k: v.copy() for k, v in m.store.grads.items()}
-        for name in joint:
-            np.testing.assert_array_equal(joint[name], again[name])
+        # without dropout, a 2-batch's gradients under upstream (1, 0) are those
+        # of its first item alone, and under (u0, u1) the sum of two single-item
+        # calls; the items differ in node count, so one of them is padded
+        m = build_model(ModelConfig(**{**TINY.__dict__, "dropout": 0.0}))
+        pair = next([a, b] for a in tiny_encs for b in tiny_encs if len(a.ops[0]) < len(b.ops[0]))
+
+        def grads(encs, ups):
+            m.store.release()
+            _, ctx = forward(m, nn.pack(encs), "rank", train_mode=True)
+            backward(m, {"rank": np.array(ups)}, ctx)
+            return {k: v.copy() for k, v in m.store.grads.items()}
+
+        first = grads(pair[:1], [1.0])
+        for name, grad in grads(pair, [1.0, 0.0]).items():
+            np.testing.assert_allclose(grad, first[name], rtol=1e-12, err_msg=name)
+        singles = [grads([enc], [u]) for enc, u in zip(pair, (0.7, -1.3))]
+        for name, grad in grads(pair, [0.7, -1.3]).items():
+            np.testing.assert_allclose(grad, singles[0][name] + singles[1][name], rtol=1e-12, err_msg=name)
 
     def test_gradients_accumulate(self, tiny_encs):
         m = build_model(TINY)
@@ -592,6 +599,13 @@ class TestBackward:
         backward(m, {"rank": np.array([1.0, 2.0])}, ctx)
         for name in once:
             np.testing.assert_allclose(m.store.grads[name], 2.0 * once[name], rtol=1e-12)
+
+    def test_upstream_for_a_head_not_run_rejected(self, tiny_encs):
+        m = build_model(TINY)
+        _, ctx = forward(m, nn.pack(tiny_encs[:2]), "rank", train_mode=True, dropout_seed=1)
+        with pytest.raises(ValueError, match="'ws'"):
+            backward(m, {"rank": np.ones(2), "ws": np.ones(2)}, ctx)
+        assert not np.any(m.store.state())
 
     def test_eval_context_rejected(self, tiny_encs):
         m = build_model(TINY)
