@@ -131,11 +131,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-CURVE_HEADER = [f.name for f in fields(ltr.CurveRow)]
-
-
-def _curve_rows(curve: list[ltr.CurveRow]) -> list[list]:
-    return [list(astuple(r)) for r in curve]
+def _write_records(path: Path, record_type, records: list) -> None:
+    """A CSV of dataclass records, one column per field of `record_type`."""
+    _write_csv(path, [f.name for f in fields(record_type)], [list(astuple(r)) for r in records])
 
 
 def _model_config_from_args(args, bench: space_mod.SearchSpace, seed: int) -> nn.ModelConfig:
@@ -219,20 +217,19 @@ def cmd_pretrain(args) -> int:
         raise CliConfigError(f"--sample must be >= 2, got {args.sample}")
     tcfg = _checked(ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs,
                     lr0=args.lr, weight_decay=args.weight_decay, seed=args.seed)
-    out = _prepare_out_dir(args.out)
     bench = _load_space(args.space)
+    model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
+    out = _prepare_out_dir(args.out)
     run_cfg = _run_config(args, out)
 
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x7EE7]))
     take = min(args.sample, len(bench))
     packed, weak = ltr.weak_view(bench, space_mod.draw_ids(rng, bench.ids, take))
-
-    model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
     result = ltr.pretrain(model, packed, weak, tcfg)
 
     with _output(out / "checkpoint.json") as tmp:
         nn.save_checkpoint(result.model, tmp)
-    _write_csv(out / "curves.csv", CURVE_HEADER, _curve_rows(result.curve))
+    _write_records(out / "curves.csv", ltr.CurveRow, result.curve)
     _write_json(out / "run_config.json", run_cfg)
     report = {
         "config_hash": _config_hash(run_cfg),
@@ -265,6 +262,25 @@ def _best_so_far_curve(trace: search.SearchTrace, bench: space_mod.SearchSpace) 
     return rows
 
 
+def _load_pretrained(path_str: str, bench: space_mod.SearchSpace) -> nn.RankingModel:
+    """The --checkpoint model, refused unless it was trained for `bench`'s op
+    vocabulary, cell count and hyper-parameter width."""
+    if not Path(path_str).is_file():
+        raise CliIoError(f"checkpoint {path_str} does not exist")
+    try:
+        model = nn.load_checkpoint(path_str)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CliConfigError(f"checkpoint {path_str}: {e}") from e
+    if model.vocab != bench.meta.vocab:
+        raise CliConfigError(f"checkpoint was trained on op vocabulary {list(model.vocab)}, "
+                             f"the space has {list(bench.meta.vocab)}")
+    shape = (bench.n_cells, bench.meta.hparam_dim)
+    if (model.config.n_cells, model.config.hparam_dim) != shape:
+        raise CliConfigError(f"checkpoint was trained for {model.config.n_cells} cell(s) and hparam_dim "
+                             f"{model.config.hparam_dim}, the space has {shape[0]} and {shape[1]}")
+    return model
+
+
 def cmd_search(args) -> int:
     _require(args, "seed", "out", "space")
     method = search.METHODS[args.baseline]
@@ -282,6 +298,9 @@ def cmd_search(args) -> int:
             raise CliConfigError(f"--{flag} must be >= {least}, got {value}")
     if "round loop" in read and args.budget % args.rounds != 0:
         raise CliConfigError(f"budget {args.budget} is not divisible by rounds {args.rounds}")
+    if start and args.budget // args.rounds < 2:
+        raise CliConfigError(f"budget {args.budget} in {args.rounds} rounds reveals {args.budget // args.rounds} "
+                             "architecture(s) per round; finetuning needs at least 2")
     scfg = None if method.select else _checked(
         search.SearchConfig, per_round=args.budget // args.rounds, rounds=args.rounds,
         exploit_fraction=args.alpha if start else 0.0, top_k=args.topk, seed=args.seed)
@@ -289,52 +308,30 @@ def cmd_search(args) -> int:
         ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
         weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
         early_stop_patience=args.patience if args.patience > 0 else None)
-    out = _prepare_out_dir(args.out)
+    if tcfg is not None and method.loss in ("lambdarank", "ranknet") and tcfg.batch_size < 2:
+        raise CliConfigError(f"--batch-size {tcfg.batch_size} makes one-item lists, "
+                             f"which the pairwise {method.loss} loss cannot rank")
+    if start == "checkpoint" and not args.checkpoint:
+        raise CliConfigError("--checkpoint is required (or pass --no-pretrain)")
     bench = _load_space(args.space)
     needs_budget = args.budget if scfg is None else scfg.budget
     if needs_budget > len(bench):
         raise CliConfigError(f"budget {needs_budget} exceeds space size {len(bench)}")
+    fresh = _model_config_from_args(args, bench, seed=args.seed) if start == "fresh" else None
+    pretrained = _load_pretrained(args.checkpoint, bench) if start == "checkpoint" else None
+    out = _prepare_out_dir(args.out)
     run_cfg = _run_config(args, out, read)
 
-    final_model = None
-    if method.select:
-        trace = method.select(bench, args.budget)
-    elif start is None:
-        _, trace = search.iterative_search(search.SearchView(bench), None, scfg)
-    else:
-        if start == "fresh":
-            model = nn.build_model(_model_config_from_args(args, bench, seed=args.seed), bench.meta.vocab)
-        else:
-            if not args.checkpoint:
-                raise CliConfigError("--checkpoint is required (or pass --no-pretrain)")
-            if not Path(args.checkpoint).is_file():
-                raise CliIoError(f"checkpoint {args.checkpoint} does not exist")
-            try:
-                model = nn.load_checkpoint(args.checkpoint)
-            except (ValueError, KeyError, TypeError) as e:
-                raise CliConfigError(f"checkpoint {args.checkpoint}: {e}") from e
-            if model.vocab != bench.meta.vocab:
-                raise CliConfigError(f"checkpoint was trained on op vocabulary {list(model.vocab)}, "
-                                     f"the space has {list(bench.meta.vocab)}")
-            shape = (bench.n_cells, bench.meta.hparam_dim)
-            if (model.config.n_cells, model.config.hparam_dim) != shape:
-                raise CliConfigError(f"checkpoint was trained for {model.config.n_cells} cell(s) and hparam_dim "
-                                     f"{model.config.hparam_dim}, the space has {shape[0]} and {shape[1]}")
-        view = search.SearchView(bench)
-        probe = search.make_probe(bench, args.probe_size, seed=args.seed) if args.probe_size > 0 else None
-        final_model, trace = search.iterative_search(view, model, scfg, tcfg, loss=method.loss, probe=probe)
+    final_model, trace = search.run_method(method, bench, budget=args.budget, cfg=scfg, pretrained=pretrained,
+                                           fresh=fresh, train_cfg=tcfg, probe_size=args.probe_size)
 
     arch, test_acc = search.finalize(trace, bench)
-    summary = _summarize(trace, bench, run_cfg, args.baseline)
+    summary = _summarize(trace, bench, run_cfg)
     _write_json(out / "run_config.json", run_cfg)
     with _output(out / "trace.jsonl") as tmp, tmp.open("w", encoding="utf-8") as fh:
         for e in trace.entries:
             fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
-    _write_csv(
-        out / "round_metrics.csv",
-        ["round", "ndcg", "tau", "best_val_so_far"],
-        [[m.round, m.ndcg, m.tau, m.best_val_so_far] for m in trace.round_metrics],
-    )
+    _write_records(out / "round_metrics.csv", search.RoundMetrics, trace.round_metrics)
     _write_csv(
         out / "budget_curve.csv",
         ["round", "budget", "best_val_so_far", "test_acc_of_best_val"],
@@ -348,7 +345,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg: dict, baseline: str) -> dict:
+def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg: dict) -> dict:
     best_val_space = max(r.val_acc for r in bench.records.values())
     best = trace.best()
     chosen = bench.records[best.arch_id]
@@ -357,7 +354,7 @@ def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg:
     last = trace.round_metrics[-1] if trace.round_metrics else None
     return {
         "config_hash": _config_hash(run_cfg),
-        "baseline": baseline,
+        "baseline": run_cfg["baseline"],
         "seed": run_cfg["seed"],
         "chosen_id": best.arch_id,
         "final_test_acc": chosen.test_acc,
@@ -370,10 +367,7 @@ def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg:
         "final_tau": None if last is None else last.tau,
         "final_top_k": list(trace.final_top_k),
         "n_sampled": len(trace.entries),
-        "rounds": [
-            {"round": m.round, "ndcg": m.ndcg, "tau": m.tau, "best_val_so_far": m.best_val_so_far}
-            for m in trace.round_metrics
-        ],
+        "rounds": [asdict(m) for m in trace.round_metrics],
     }
 
 

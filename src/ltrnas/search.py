@@ -9,7 +9,8 @@ baseline: every pick, the final k included, is uniform. The search sees
 validation accuracy only, and only for sampled ids; test accuracy enters
 exactly once, in finalize. The ws-greedy baseline is a one-shot selector
 outside the loop that returns a one-round trace. `METHODS` says how each
-search method runs: its selector, or its finetune loss and starting model.
+search method runs: its selector, or its finetune loss and starting model;
+`run_method` runs one of them.
 
 A search is the entries of its trace; the final top-k, the chosen id and
 every best-so-far derive from them (`SearchTrace.best`). The trace is a pure
@@ -286,3 +287,32 @@ METHODS = {
     "ws-greedy": Method(select=ws_greedy_baseline),
     "random": Method(),
 }
+
+
+def run_method(
+    method: Method,
+    space: SearchSpace,
+    *,
+    budget: int | None = None,
+    cfg: SearchConfig | None = None,
+    pretrained: nn.RankingModel | None = None,
+    fresh: nn.ModelConfig | None = None,
+    train_cfg: ltr.TrainConfig | None = None,
+    probe_size: int = 0,
+) -> tuple[nn.RankingModel | None, SearchTrace]:
+    """Run one search method on `space`; returns the final model (None where
+    no model trains) and the trace.
+
+    A selector picks `budget` records. Otherwise the round loop of `cfg` runs
+    from the method's starting model: `pretrained`, a model built from
+    `fresh` (a run without `pretrained` starts a checkpoint method fresh), or
+    no model. A model finetunes by `train_cfg` and is measured each round on a
+    probe of `probe_size` records drawn with the search's seed (none at 0)."""
+    if method.select is not None:
+        return None, method.select(space, budget)
+    start = method.starting_model(pretrained is not None)
+    if start is None:
+        return iterative_search(SearchView(space), None, cfg)
+    model = pretrained if start == "checkpoint" else nn.build_model(fresh, space.meta.vocab)
+    probe = make_probe(space, probe_size, seed=cfg.seed) if probe_size > 0 else None
+    return iterative_search(SearchView(space), model, cfg, train_cfg, loss=method.loss, probe=probe)

@@ -227,20 +227,14 @@ def experiment():
     for method in METHODS:
         # no-pretrain is the full method started from a fresh model
         spec = search.METHODS["full" if method == "no-pretrain" else method]
-        starting_model = spec.starting_model(pretrained=method != "no-pretrain")
         for seed in ACC_SEEDS:
             search_cfg = search.SearchConfig(per_round=20, rounds=5, exploit_fraction=0.5,
                                              top_k=10, seed=seed)
             train_cfg = ltr.TrainConfig(epochs=60, early_stop_patience=15, seed=seed)
-            if starting_model == "checkpoint":
-                base = pre.model
-            else:
-                base = nn.build_model(nn.ModelConfig(**{**model_cfg.__dict__, "seed": seed}))
-            probe = search.make_probe(sp, 512, seed=seed)
-            _, trace = search.iterative_search(
-                search.SearchView(sp), base, search_cfg, train_cfg, loss=spec.loss, probe=probe
+            _, trace = search.run_method(
+                spec, sp, cfg=search_cfg, pretrained=None if method == "no-pretrain" else pre.model,
+                fresh=nn.ModelConfig(**{**model_cfg.__dict__, "seed": seed}), train_cfg=train_cfg, probe_size=512,
             )
-            search.finalize(trace, sp)
             topk_best = max(sp.records[rid].test_acc for rid in trace.final_top_k)
             last = trace.round_metrics[-1]
             runs[method].append({
@@ -383,7 +377,8 @@ def test_criterion_10_benchmark_file_optional():
     for seed in range(1000, 1010):
         search_cfg = search.SearchConfig(per_round=20, rounds=5, exploit_fraction=0.5, top_k=10, seed=seed)
         train_cfg = ltr.TrainConfig(epochs=60, early_stop_patience=15, seed=seed)
-        _, trace = search.iterative_search(search.SearchView(bench), pre.model, search_cfg, train_cfg)
+        _, trace = search.run_method(search.METHODS["full"], bench, cfg=search_cfg, pretrained=pre.model,
+                                     train_cfg=train_cfg)
         _, test_acc = search.finalize(trace, bench)
         finals.append(test_acc)
     mean_acc = float(np.mean(finals))

@@ -7,7 +7,8 @@ in `src/` shows up only when the traced bench runs; these tests read the
 names out of both files and fail at once instead. The tracer's ATTRS
 functions also bind parameters by name and read fields of results, which
 would fail with a KeyError or AttributeError in the traced bench alone;
-these tests check the parameter names and run the tracer over a tiny search.
+these tests check the parameter names and run the tracer over a tiny search
+on the path the CLI takes (`search.run_method`).
 """
 
 import ast
@@ -124,8 +125,9 @@ def test_tracer_records_attrs_of_a_search(monkeypatch):
     tracer.begin(0)
     tracer.install()
     try:
-        search.iterative_search(search.SearchView(sp), model, search.SearchConfig(per_round=10, rounds=2, top_k=2),
-                                ltr.TrainConfig(epochs=3, early_stop_patience=None), probe=search.make_probe(sp, 20, 0))
+        search.run_method(search.METHODS["full"], sp, cfg=search.SearchConfig(per_round=10, rounds=2, top_k=2),
+                          pretrained=model, train_cfg=ltr.TrainConfig(epochs=3, early_stop_patience=None),
+                          probe_size=20)
     finally:
         tracer.uninstall()
     spans = tracer.invocations[0]
@@ -134,3 +136,7 @@ def test_tracer_records_attrs_of_a_search(monkeypatch):
         assert named and all(s.attrs for s in named), name
     per_layer, _ = tracer_mod.layer_metrics(spans)
     assert per_layer["ltr.finetune_epochs"] == 6 and per_layer["search.select_top_k_calls"] == 2
+    # the space is packed once and the probe once, as bench/run.py pins at SPACE_SIZE + PROBE
+    view = tracer_mod.SpanView(spans)
+    assert view.count("search.make_probe") == 1
+    assert view.count("space.encode_architecture") == len(sp) + 20

@@ -428,6 +428,8 @@ class TestSearch:
         ("pretrain", "sample", "1", "--sample must be >= 2"),
         ("search", "epochs", "0", "epochs must be >= 1"),
         ("search", "topk", "0", "top_k must be >= 1"),
+        ("search", "rounds", "20", "reveals 1 architecture(s) per round; finetuning needs at least 2"),
+        ("search", "batch-size", "1", "the pairwise lambdarank loss cannot rank"),
     ])
     def test_bad_run_flag_refused_before_any_output(self, tmp_path, space_dir, pretrain_dir, capsys,
                                                     command, flag, value, message):
@@ -442,6 +444,53 @@ class TestSearch:
         argv[argv.index("--space") + 1] = tmp_path / "missing.jsonl"
         assert run(*argv, f"--{flag}", value) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline, flag, value, message", [
+        ("vanilla-mse", "rounds", "20", "finetuning needs at least 2"),
+        ("ranknet", "batch-size", "1", "the pairwise ranknet loss cannot rank"),
+    ])
+    def test_thin_finetune_refused_for_other_methods(self, tmp_path, space_dir, pretrain_dir, capsys,
+                                                     baseline, flag, value, message):
+        out = tmp_path / "thin"
+        assert run(*search_args(space_dir, pretrain_dir, out, baseline=baseline, **{flag: value})) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_architecture_per_round_runs_random(self, tmp_path, space_dir, pretrain_dir):
+        out = tmp_path / "random"
+        assert run(*search_args(space_dir, pretrain_dir, out, baseline="random", budget=5, rounds=5)) == EXIT_OK
+        assert len(json.loads((out / "summary.json").read_text())["rounds"]) == 5
+
+    def test_one_item_lists_run_pointwise_mse(self, tmp_path, space_dir, pretrain_dir):
+        # mse is pointwise, so a one-item batch still carries its gradient
+        out = tmp_path / "mse"
+        argv = search_args(space_dir, pretrain_dir, out, baseline="vanilla-mse", **{"batch-size": 1})
+        assert run(*argv) == EXIT_OK
+        assert (out / "final_model.json").is_file()
+
+    @pytest.mark.parametrize("case", ["no checkpoint flag", "unreadable checkpoint", "mismatched checkpoint",
+                                      "search model flag", "pretrain model flag"])
+    def test_refused_before_out_is_made(self, tmp_path, space_dir, pretrain_dir, capsys, case):
+        # refusals that need the space read it, and the checkpoint, before --out is made
+        out = tmp_path / "out"
+        argv = search_args(space_dir, pretrain_dir, out)
+        if case == "no checkpoint flag":
+            at = argv.index("--checkpoint")
+            del argv[at:at + 2]
+        elif case == "unreadable checkpoint":
+            argv[argv.index("--checkpoint") + 1] = tmp_path / "garbage.json"
+            (tmp_path / "garbage.json").write_text("{not json")
+        elif case == "mismatched checkpoint":
+            assert run("synth", "--out", tmp_path / "wide", "--seed", "3", "--size", "80", "--hparam-dim", "3") == EXIT_OK
+            argv[argv.index("--space") + 1] = tmp_path / "wide" / "space.jsonl"
+        elif case == "search model flag":
+            argv += ["--baseline", "vanilla-mse", "--hidden", "0"]
+        else:
+            argv = ["pretrain", "--out", out, "--seed", "1", "--space", space_dir / "space.jsonl",
+                    "--sample", "40", "--epochs", "1", *SMALL_MODEL, "--hidden", "0"]
+        assert run(*argv) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
     def test_indivisible_budget(self, tmp_path, space_dir, pretrain_dir):

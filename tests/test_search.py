@@ -312,3 +312,44 @@ class TestProbe:
         assert p1.ids == p2.ids
         p3 = make_probe(bench, 30, seed=2)
         assert p1.ids != p3.ids
+
+
+# (method, whether a pretrained model is given, the model the hand-written
+# set-up starts from, its finetune loss); every METHODS row, and full without
+# a pretrained model
+RUNNER_CASES = [
+    ("full", True, "pretrained", "lambdarank"),
+    ("full", False, "fresh", "lambdarank"),
+    ("vanilla-mse", True, "fresh", "mse"),
+    ("ranknet", True, "pretrained", "ranknet"),
+    ("ws-greedy", True, None, None),
+    ("random", True, None, None),
+]
+
+
+class TestRunMethod:
+    def test_cases_cover_every_method(self):
+        assert {name for name, *_ in RUNNER_CASES} == set(search.METHODS)
+
+    @pytest.mark.parametrize("name, given, start, loss", RUNNER_CASES)
+    def test_equals_the_hand_written_set_up(self, bench, name, given, start, loss):
+        cfg = SearchConfig(per_round=8, rounds=2, top_k=3, seed=7)
+        train_cfg = dataclasses.replace(FAST_TRAIN, epochs=3)
+        fresh = dataclasses.replace(MODEL_CFG, seed=11)
+        pretrained = nn.build_model(dataclasses.replace(MODEL_CFG, seed=12), bench.meta.vocab) if given else None
+        got_model, got = search.run_method(search.METHODS[name], bench, budget=12, cfg=cfg, pretrained=pretrained,
+                                           fresh=fresh, train_cfg=train_cfg, probe_size=20)
+        if name == "ws-greedy":
+            want_model, want = None, ws_greedy_baseline(bench, 12)
+        elif start is None:
+            want_model, want = iterative_search(SearchView(bench), None, cfg)
+        else:
+            base = pretrained if start == "pretrained" else nn.build_model(fresh, bench.meta.vocab)
+            want_model, want = iterative_search(SearchView(bench), base, cfg, train_cfg, loss=loss,
+                                                probe=make_probe(bench, 20, seed=cfg.seed))
+        assert got == want
+        if want_model is None:
+            assert got_model is None
+        else:
+            assert nn.checkpoint_bytes(got_model) == nn.checkpoint_bytes(want_model)
+            assert got.round_metrics[-1].ndcg is not None
