@@ -231,19 +231,10 @@ def cmd_pretrain(args) -> int:
         nn.save_checkpoint(result.model, tmp)
     _write_records(out / "curves.csv", ltr.CurveRow, result.curve)
     _write_json(out / "run_config.json", run_cfg)
-    report = {
-        "config_hash": _config_hash(run_cfg),
-        "sample": take,
-        "r2_ws": None if np.isnan(result.r2["ws"]) else result.r2["ws"],
-        "r2_flops": None if np.isnan(result.r2["flops"]) else result.r2["flops"],
-        "r2_params": None if np.isnan(result.r2["params"]) else result.r2["params"],
-    }
+    r2 = {ch: None if np.isnan(v) else v for ch, v in result.r2.items()}
+    report = {"config_hash": _config_hash(run_cfg), "sample": take, **{f"r2_{ch}": r2[ch] for ch in ltr.CHANNELS}}
     _write_json(out / "pretrain_report.json", report)
-    print(
-        "pretrain: r2 ws={r2_ws} flops={r2_flops} params={r2_params}".format(
-            **{k: ("n/a" if v is None else f"{v:.4f}") if k.startswith("r2") else v for k, v in report.items()}
-        )
-    )
+    print("pretrain: r2 " + " ".join(f"{ch}={'n/a' if r2[ch] is None else f'{r2[ch]:.4f}'}" for ch in ltr.CHANNELS))
     return EXIT_OK
 
 
@@ -308,7 +299,7 @@ def cmd_search(args) -> int:
         ltr.TrainConfig, batch_size=args.batch_size, epochs=args.epochs, lr0=args.lr,
         weight_decay=args.weight_decay, sigma=args.sigma, seed=args.seed,
         early_stop_patience=args.patience if args.patience > 0 else None)
-    if tcfg is not None and method.loss in ("lambdarank", "ranknet") and tcfg.batch_size < 2:
+    if tcfg is not None and ltr.FINETUNE_LOSSES[method.loss] is not None and tcfg.batch_size < 2:
         raise CliConfigError(f"--batch-size {tcfg.batch_size} makes one-item lists, "
                              f"which the pairwise {method.loss} loss cannot rank")
     if start == "checkpoint" and not args.checkpoint:
@@ -375,6 +366,12 @@ def _summarize(trace: search.SearchTrace, bench: space_mod.SearchSpace, run_cfg:
 # report
 # ---------------------------------------------------------------------------
 
+# The summary keys that `report` aggregates per config group, in column
+# order, each with whether the std is reported next to the mean.
+REPORT_COLUMNS = (("final_test_acc", True), ("topk_test_regret", True), ("val_regret_iterative", True),
+                  ("final_ndcg", False), ("final_tau", False))
+
+
 def cmd_report(args) -> int:
     _require(args, "out")
     out = _prepare_out_dir(args.out)
@@ -397,38 +394,19 @@ def cmd_report(args) -> int:
     for s in summaries:
         groups.setdefault(s["config_hash"], []).append(s)
 
-    def agg(rows: list[dict], key: str) -> tuple[float | None, float | None]:
-        vals = [r[key] for r in rows if r.get(key) is not None]
-        if not vals:
-            return None, None
-        v = np.array(vals, dtype=np.float64)
-        return float(v.mean()), float(v.std())
+    def agg(runs: list[dict], key: str, stats: tuple[str, ...]) -> list[float | None]:
+        vals = np.array([r[key] for r in runs if r.get(key) is not None], dtype=np.float64)
+        return [float(getattr(vals, stat)()) if vals.size else None for stat in stats]
 
-    header = [
-        "config_hash", "baseline", "n_runs",
-        "mean_final_test_acc", "std_final_test_acc",
-        "mean_topk_test_regret", "std_topk_test_regret",
-        "mean_val_regret_iterative", "std_val_regret_iterative",
-        "mean_final_ndcg", "mean_final_tau",
-    ]
-    rows = []
-    for chash in sorted(groups):
-        runs = groups[chash]
-        m_acc, s_acc = agg(runs, "final_test_acc")
-        m_reg, s_reg = agg(runs, "topk_test_regret")
-        m_vr, s_vr = agg(runs, "val_regret_iterative")
-        m_ndcg, _ = agg(runs, "final_ndcg")
-        m_tau, _ = agg(runs, "final_tau")
-        rows.append([chash, runs[0]["baseline"], len(runs), m_acc, s_acc, m_reg, s_reg, m_vr, s_vr, m_ndcg, m_tau])
+    columns = [(key, ("mean", "std") if with_std else ("mean",)) for key, with_std in REPORT_COLUMNS]
+    header = ["config_hash", "baseline", "n_runs", *(f"{stat}_{key}" for key, stats in columns for stat in stats)]
+    rows = [[chash, runs[0]["baseline"], len(runs), *(v for key, stats in columns for v in agg(runs, key, stats))]
+            for chash, runs in sorted(groups.items())]
     _write_csv(out / "aggregate.csv", header, rows)
 
     if len(summaries) >= 10:
-        paired = [
-            s for s in summaries
-            if s.get("topk_best_test_acc") is not None
-            and s.get("final_ndcg") is not None
-            and s.get("final_tau") is not None
-        ]
+        keys = ("topk_best_test_acc", "final_ndcg", "final_tau")
+        paired = [s for s in summaries if all(s.get(k) is not None for k in keys)]
         corr_rows = []
         if len(paired) >= 10:
             acc = [s["topk_best_test_acc"] for s in paired]

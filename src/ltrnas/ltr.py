@@ -1,7 +1,7 @@
 """Losses and training procedures for the ranking model.
 
 Two stages. Pretraining fits the three auxiliary heads (weak accuracy,
-FLOPs, params) with a multi-task MSE on normalized labels: cheap, plentiful
+FLOPs, params) with a multi-task MSE on standardized labels: cheap, plentiful
 supervision that teaches the encoder what an architecture looks like.
 Finetuning transfers that encoder and trains the rank head listwise: each
 shuffled mini-batch is one list, and per-item gradient coefficients are
@@ -78,25 +78,22 @@ HOLDOUT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
-class LabelNormalizer:
-    """Per-channel shift/scale fitted on training labels (population std)."""
+class Standardizer:
+    """(x - mean) / std with the mean and population std of training values."""
 
-    mean: dict[str, float]
-    std: dict[str, float]
+    mean: float
+    std: float
 
-    def normalize(self, channel: str, values) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.mean[channel]) / self.std[channel]
-
-
-def fit_normalizer(labels: dict[str, Sequence[float]]) -> LabelNormalizer:
-    mean, std = {}, {}
-    for channel, values in labels.items():
+    @classmethod
+    def fit(cls, values, name: str) -> "Standardizer":
+        """Fit on `values` of the quantity `name`, which needs >= 2 distinct values."""
         v = np.asarray(values, dtype=np.float64)
         if v.size < 2 or np.all(v == v[0]):
-            raise ValueError(f"channel {channel!r} needs >= 2 distinct values")
-        mean[channel] = float(v.mean())
-        std[channel] = float(v.std())
-    return LabelNormalizer(mean=mean, std=std)
+            raise ValueError(f"{name} needs >= 2 distinct values")
+        return cls(float(v.mean()), float(v.std()))
+
+    def __call__(self, values) -> np.ndarray:
+        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
 
 
 @dataclass
@@ -189,16 +186,24 @@ def lambdarank_lambdas(scores, rels, sigma: float = 1.0, *, ids: Sequence[str]) 
     return _pair_coefficients(s, r, sigma, delta_by_pos[position[:, None], position[None, :]])
 
 
-def _pairwise_logistic_loss(scores, rels, sigma: float) -> float:
+def _pairwise_logistic_loss(s: np.ndarray, r: np.ndarray, sigma: float) -> float:
     """Monitoring surrogate: mean log(1 + exp(-sigma*(s_i - s_j))) over pairs
     with rel_i > rel_j (the objective whose gradient the coefficients are)."""
-    s = np.asarray(scores, dtype=np.float64)
-    r = np.asarray(rels, dtype=np.float64)
     gt = r[:, None] > r[None, :]
     if not gt.any():
         return 0.0
-    diff = s[:, None] - s[None, :]
-    return float(np.mean(np.logaddexp(0.0, -sigma * diff)[gt]))
+    return float(np.mean(np.logaddexp(0.0, -sigma * (s[:, None] - s[None, :]))[gt]))
+
+
+# The finetune losses. A pairwise one maps a list's scores, relevances, ids and
+# sigma to (monitoring loss, coefficients), calling the coefficient functions
+# through their module bindings; None is the pointwise MSE on standardized accuracy.
+FINETUNE_LOSSES: dict[str, Callable[..., tuple[float, np.ndarray]] | None] = {
+    "lambdarank": lambda s, rels, ids, sigma: (_pairwise_logistic_loss(s, rels, sigma),
+                                               lambdarank_lambdas(s, rels, sigma, ids=ids)),
+    "ranknet": lambda s, rels, ids, sigma: (_pairwise_logistic_loss(s, rels, sigma), ranknet_lambdas(s, rels, sigma)),
+    "mse": None,
+}
 
 
 def r_squared(pred, target) -> float:
@@ -262,6 +267,33 @@ def _stratified_holdout(values) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(mask), hold
 
 
+def _ndcg_saturates(rels: np.ndarray) -> bool:
+    """Whether no order of a holdout with relevances `rels` can read a
+    `metrics.ndcg` above 1.0 once one has read exactly 1.0, so that a finetune
+    that kept such an epoch can keep no later one.
+
+    Orders that rank the relevances in descending sequence hand `metrics.dcg`
+    equal arrays and read one value; every other order must read below 1.0.
+    With equal relevances (all zero too) there is no other order. Else, with
+    G_i = 2**r_i (gain plus one), d_k = 1/log2(k + 1) and n items, Abel
+    summation gives IDCG - DCG(pi) = sum over k < n of A_k (d_k - d_k+1),
+    A_k >= 0 the top k gains' sum less that of pi's first k. A non-ideal pi
+    has an A_k > 0, then >= gap, the least positive difference of the G_i,
+    and the d_k are convex: the loss is >= gap (d_n-1 - d_n). With u = 2**-53,
+    exp2 and log2 within 16u (libm is within 1 ulp, numpy's SIMD loops 4) and
+    the rest rounded to nearest, a computed DCG is within
+    E = (48 + 1.02 (n - 1)) u S of the exact one, S = sum G_i, so a loss of
+    2E + u S <= 100 n u S reads below 1.0. The test asks for 256 n u S, which
+    leaves room for its own rounding (under 1% on each side, plus 33u S on gap).
+    """
+    levels = np.exp2(np.unique(rels))
+    if levels.size < 2:
+        return True
+    n = len(rels)
+    drop = 1.0 / math.log2(n) - 1.0 / math.log2(n + 1)
+    return float(np.min(np.diff(levels))) * drop > 2.0**-45 * n * float(np.sum(np.exp2(rels)))
+
+
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffle indices and chunk into batches; a trailing chunk of one item is
     folded into the previous batch (a single item carries no pairwise signal)."""
@@ -303,10 +335,10 @@ def _train_epochs(
 
 
 def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarray], cfg: TrainConfig) -> PretrainResult:
-    """Train the auxiliary heads (ws/flops/params) with multi-task MSE on
-    normalized labels for cfg.epochs (no early stopping). `packed` and
-    `weak` are `weak_view`'s pair. Returns a trained copy of the model, with
-    its optimizer state dropped, plus held-out R-squared per channel.
+    """Train the encoder and the auxiliary heads (ws/flops/params) with
+    multi-task MSE on standardized labels for cfg.epochs (no early stopping).
+    `packed` and `weak` are `weak_view`'s pair. Returns a trained copy of the
+    model, with its optimizer state dropped, plus held-out R-squared per channel.
     """
     if any(len(weak[ch]) != len(packed) for ch in CHANNELS):
         raise ValueError(f"{len(packed)} architectures but label lengths {[len(weak[ch]) for ch in CHANNELS]}")
@@ -316,34 +348,22 @@ def pretrain(model: nn.RankingModel, packed: nn.Packed, weak: dict[str, np.ndarr
 
     train_idx, hold_idx = _split_holdout(len(packed), rng)
     nn.set_hparam_stats(model, packed.hparams[train_idx])
-    normalizer = fit_normalizer({ch: weak[ch][train_idx] for ch in CHANNELS})
-    labels = {ch: normalizer.normalize(ch, weak[ch][train_idx]) for ch in CHANNELS}
+    scale = {ch: Standardizer.fit(weak[ch][train_idx], f"channel {ch!r}") for ch in CHANNELS}
+    labels = {ch: scale[ch](weak[ch][train_idx]) for ch in CHANNELS}
 
     def batch_loss(batch, preds):
         return multitask_mse(preds, {ch: labels[ch][batch] for ch in CHANNELS})
 
-    # The rank head is not part of the pretraining model (the auxiliary heads
-    # replace it); leaving it in the optimizer would let Adam's normalized
-    # weight-decay steps grind its untouched weights to zero.
-    trainable = [n for n in model.store.names() if not n.startswith("head_rank")]
+    trainable = nn.trained_params(model.config, CHANNELS)
     curve = list(_train_epochs(model, packed, train_idx, CHANNELS, batch_loss, cfg, trainable, rng, seed_rng))
     model.store.release()
 
     r2 = {ch: float("nan") for ch in CHANNELS}
     if len(hold_idx) >= 2:
         preds, _ = nn.forward_heads(model, packed.select(hold_idx), CHANNELS)
-        r2 = {ch: r_squared(preds[ch], normalizer.normalize(ch, weak[ch][hold_idx])) for ch in CHANNELS}
-        curve.append(
-            CurveRow(epoch=cfg.epochs, split="holdout",
-                     r2_ws=r2["ws"], r2_flops=r2["flops"], r2_params=r2["params"])
-        )
+        r2 = {ch: r_squared(preds[ch], scale[ch](weak[ch][hold_idx])) for ch in CHANNELS}
+        curve.append(CurveRow(epoch=cfg.epochs, split="holdout", **{f"r2_{ch}": r2[ch] for ch in CHANNELS}))
     return PretrainResult(model=model, r2=r2, curve=curve)
-
-
-# Parameters updated during finetuning: the shared encoder plus the rank
-# head. Auxiliary heads stay frozen at their pretrained values.
-def _finetune_param_names(model: nn.RankingModel) -> list[str]:
-    return [n for n in model.store.names() if not n.startswith(("head_ws", "head_flops", "head_params"))]
 
 
 def finetune(
@@ -354,18 +374,20 @@ def finetune(
     cfg: TrainConfig,
     loss: str = "lambdarank",
 ) -> FinetuneResult:
-    """Listwise training of the rank head (and encoder) on labeled architectures:
+    """Listwise training of the rank head and encoder on labeled architectures:
     `packed` holds them, `ids` and the revealed validation accuracies `accs`
     name and label them, position for position.
 
     Fits the relevance map on the labeled accuracies, shuffles the labeled
-    set into lists of batch_size each epoch, and applies the selected
-    gradient coefficients per list ("lambdarank", "ranknet", or pointwise
-    "mse" regression on normalized accuracy). Early stopping watches NDCG on
-    a held-out slice; the best epoch is returned, without optimizer state.
+    set into lists of batch_size each epoch, and trains each list by `loss`,
+    a key of FINETUNE_LOSSES. Early stopping watches NDCG on a held-out
+    slice, and stops once no later epoch can beat the best (`_ndcg_saturates`);
+    the best epoch is returned, without optimizer state.
     """
-    if loss not in ("lambdarank", "ranknet", "mse"):
-        raise ValueError(f"unknown finetune loss {loss!r}")
+    try:
+        pairwise = FINETUNE_LOSSES[loss]
+    except KeyError:
+        raise ValueError(f"unknown finetune loss {loss!r}") from None
     if not len(packed) == len(ids) == len(accs):
         raise ValueError(f"{len(packed)} architectures, {len(ids)} ids and {len(accs)} accuracies")
     if len(ids) < 2:
@@ -380,8 +402,7 @@ def finetune(
         rels_all = metrics.map_relevance(rmap, accs)
     except ValueError:
         log.warning("degenerate relevance map (labeled accuracies too concentrated); using uniform relevance")
-        rmap = None
-        rels_all = np.ones(len(accs))
+        rmap, rels_all = None, np.ones(len(accs))
 
     train_idx, hold_idx = _stratified_holdout(accs)
     train_ids = [ids[i] for i in train_idx]
@@ -392,29 +413,21 @@ def finetune(
     hold_ids, hold_rels = [ids[i] for i in hold_idx], rels_all[hold_idx]
     rels_train = rels_all[train_idx]
 
-    if loss == "mse":
+    if pairwise is None:
         vals = accs[train_idx]
-        targets = fit_normalizer({"val": vals}).normalize("val", vals) if np.ptp(vals) > 0 else np.zeros(len(vals))
+        targets = Standardizer.fit(vals, "validation accuracy")(vals) if np.ptp(vals) > 0 else np.zeros(len(vals))
 
     def batch_loss(batch, scores):
         s = scores["rank"]
-        if loss == "mse":
-            value, coeffs = _mse(s, targets[batch])
-        else:
-            rels = rels_train[batch]
-            if loss == "lambdarank":
-                coeffs = lambdarank_lambdas(s, rels, cfg.sigma, ids=[train_ids[i] for i in batch])
-            else:
-                coeffs = ranknet_lambdas(s, rels, cfg.sigma)
-            value = _pairwise_logistic_loss(s, rels, cfg.sigma)
+        value, coeffs = (_mse(s, targets[batch]) if pairwise is None
+                         else pairwise(s, rels_train[batch], [train_ids[i] for i in batch], cfg.sigma))
         return value, {"rank": coeffs}
 
-    trainable = _finetune_param_names(model)
+    trainable = nn.trained_params(model.config, ("rank",))
+    saturates = hold_batch is not None and _ndcg_saturates(hold_rels)
     curve: list[CurveRow] = []
-    best_flat = None
-    best_ndcg = None
-    patience = 0
-    stopped_epoch = cfg.epochs
+    best_flat = best_ndcg = None
+    patience, stopped_epoch = 0, cfg.epochs
     for row in _train_epochs(model, packed, train_idx, ("rank",), batch_loss, cfg, trainable, rng, seed_rng):
         curve.append(row)
         if hold_batch is None:
@@ -423,22 +436,15 @@ def finetune(
         val_ndcg = metrics.ndcg(hold_scores, hold_rels, hold_ids)
         curve.append(CurveRow(epoch=row.epoch, split="holdout", ndcg=val_ndcg))
         if best_ndcg is None or val_ndcg > best_ndcg:
-            best_ndcg = val_ndcg
-            best_flat = model.store.flat.copy()
-            patience = 0
+            best_ndcg, best_flat, patience = val_ndcg, model.store.flat.copy(), 0
         else:
             patience += 1
-            if cfg.early_stop_patience is not None and patience >= cfg.early_stop_patience:
-                stopped_epoch = row.epoch
-                break
+        if (saturates and best_ndcg == 1.0) or patience == cfg.early_stop_patience:
+            stopped_epoch = row.epoch
+            break
 
     model.store.release()
     if best_flat is not None:
         model.store.flat[...] = best_flat
-    return FinetuneResult(
-        model=model,
-        best_ndcg=best_ndcg,
-        stopped_epoch=stopped_epoch,
-        relevance_map=rmap,
-        curve=curve,
-    )
+    return FinetuneResult(model=model, best_ndcg=best_ndcg, stopped_epoch=stopped_epoch, relevance_map=rmap,
+                          curve=curve)

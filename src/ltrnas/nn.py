@@ -158,6 +158,16 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return specs
 
 
+def trained_params(cfg: ModelConfig, heads: Sequence[str]) -> list[str]:
+    """The parameters a training stage updates: the encoder's and those of
+    `heads`. Every other head keeps its values; left in the optimizer, Adam's
+    normalized weight-decay steps would grind its weights to zero."""
+    if not set(heads) <= set(HEADS):
+        raise ValueError(f"unknown heads {sorted(set(heads) - set(HEADS))}")
+    frozen = tuple(f"head_{head}." for head in HEADS if head not in heads)
+    return [name for name, _, _ in _param_specs(cfg) if not name.startswith(frozen)]
+
+
 def build_model(cfg: ModelConfig, vocab: Sequence[str] = ()) -> RankingModel:
     """Initialize parameters deterministically from the config seed with
     uniform fan-in scaling: every tensor ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in))
@@ -283,12 +293,13 @@ def _sort_order(h: np.ndarray, k: int, nodes: np.ndarray) -> np.ndarray:
     A stable argsort on the last channel is already the full order unless
     two rows tie there but differ elsewhere; only items with such a pair are
     re-sorted on every channel. Identical tied rows keep index order, and
-    -0.0 ties with 0.0."""
+    -0.0 ties with 0.0. Padding rows are all zero, so only pairs of real
+    rows, whose keys are finite, are compared."""
     key = -h[:, :, -1]
     key[np.arange(h.shape[1]) >= nodes[:, None]] = np.inf
     orders = np.argsort(key, axis=1, kind="stable")
     ranked = np.take_along_axis(key, orders, axis=1)
-    b, j = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    b, j = np.nonzero((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:]))
     differ = np.unique(b[(h[b, orders[b, j]] != h[b, orders[b, j + 1]]).any(axis=1)])
     if differ.size:
         keys = -h[differ]

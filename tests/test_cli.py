@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ltrnas import cli, search, space
+from ltrnas import cli, ltr, search, space
 from ltrnas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 SMALL_MODEL = [
@@ -423,21 +423,27 @@ class TestSearch:
         assert f"{field} must be finite, got {value}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command, flag, value, message", [
-        ("pretrain", "epochs", "0", "epochs must be >= 1"),
-        ("pretrain", "sample", "1", "--sample must be >= 2"),
-        ("search", "epochs", "0", "epochs must be >= 1"),
-        ("search", "topk", "0", "top_k must be >= 1"),
-        ("search", "rounds", "20", "reveals 1 architecture(s) per round; finetuning needs at least 2"),
-        ("search", "batch-size", "1", "the pairwise lambdarank loss cannot rank"),
-    ])
+    # (command, flag, value, message, the search method); one-item lists are
+    # refused for every pairwise finetune loss
+    BAD_RUN_FLAGS = [
+        ("pretrain", "epochs", "0", "epochs must be >= 1", None),
+        ("pretrain", "sample", "1", "--sample must be >= 2", None),
+        ("search", "epochs", "0", "epochs must be >= 1", "full"),
+        ("search", "topk", "0", "top_k must be >= 1", "full"),
+        ("search", "rounds", "20", "reveals 1 architecture(s) per round; finetuning needs at least 2", "full"),
+        *(("search", "batch-size", "1", f"the pairwise {m.loss} loss cannot rank", name)
+          for name, m in search.METHODS.items() if m.loss and ltr.FINETUNE_LOSSES[m.loss] is not None),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message, baseline",
+                             [pytest.param(*case, id="-".join(case[:4])) for case in BAD_RUN_FLAGS])
     def test_bad_run_flag_refused_before_any_output(self, tmp_path, space_dir, pretrain_dir, capsys,
-                                                    command, flag, value, message):
+                                                    command, flag, value, message, baseline):
         # refused before the output directory is made or the space is read (a
         # missing space would exit EXIT_IO)
         out = tmp_path / "bad"
         if command == "search":
-            argv = search_args(space_dir, pretrain_dir, out)
+            argv = search_args(space_dir, pretrain_dir, out, baseline=baseline)
         else:
             argv = ["pretrain", "--out", out, "--seed", "1", "--space", space_dir / "space.jsonl",
                     "--sample", "40", "--epochs", "1", *SMALL_MODEL]

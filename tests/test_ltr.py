@@ -2,16 +2,20 @@
 
 import dataclasses
 import inspect
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltrnas import ltr, metrics, nn, search, space
 from ltrnas.ltr import (
+    Standardizer,
     TrainConfig,
     finetune,
-    fit_normalizer,
     lambdarank_lambdas,
     multitask_mse,
     pretrain,
@@ -66,20 +70,17 @@ def brute_force_lambdarank(scores, rels, sigma, ids):
     return coeff
 
 
-class TestNormalizer:
+class TestStandardizer:
     def test_hand_values(self):
-        norm = fit_normalizer({"ws": [1.0, 2.0, 3.0]})
-        assert norm.mean["ws"] == pytest.approx(2.0)
-        assert norm.std["ws"] == pytest.approx(0.8165, abs=1e-4)
-        np.testing.assert_allclose(
-            norm.normalize("ws", [1.0, 2.0, 3.0]), [-1.2247, 0.0, 1.2247], atol=1e-4
-        )
+        scale = Standardizer.fit([1.0, 2.0, 3.0], "ws")
+        assert scale.mean == pytest.approx(2.0)
+        assert scale.std == pytest.approx(0.8165, abs=1e-4)
+        np.testing.assert_allclose(scale([1.0, 2.0, 3.0]), [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_normalized_moments(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(10, 90, size=200)
-        norm = fit_normalizer({"x": vals})
-        z = norm.normalize("x", vals)
+        z = Standardizer.fit(vals, "x")(vals)
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-9
 
@@ -87,12 +88,11 @@ class TestNormalizer:
         rng = np.random.default_rng(2)
         z = rng.standard_normal(500)
         z = (z - z.mean()) / z.std()
-        norm = fit_normalizer({"x": z})
-        np.testing.assert_allclose(norm.normalize("x", z), z, atol=1e-9)
+        np.testing.assert_allclose(Standardizer.fit(z, "x")(z), z, atol=1e-9)
 
     def test_constant_channel_rejected(self):
-        with pytest.raises(ValueError):
-            fit_normalizer({"x": [3.0, 3.0, 3.0]})
+        with pytest.raises(ValueError, match="^validation accuracy needs >= 2 distinct values$"):
+            Standardizer.fit([3.0, 3.0, 3.0], "validation accuracy")
 
 
 class TestMultitaskMse:
@@ -299,8 +299,7 @@ class TestPretrain:
         packed, weak = weak_view(weak_space, weak_space.ids[:10])
         model = nn.build_model(MODEL_CFG)
         cfg = TrainConfig(epochs=1, lr0=0.001, weight_decay=1e-5, seed=11)
-        norm = fit_normalizer(weak)
-        labels = {ch: norm.normalize(ch, v) for ch, v in weak.items()}
+        labels = {ch: Standardizer.fit(v, ch)(v) for ch, v in weak.items()}
 
         def eval_loss(m):
             preds, _ = nn.forward_heads(m, packed, ltr.CHANNELS)
@@ -407,9 +406,11 @@ class TestFinetune:
         result = finetune(nn.build_model(MODEL_CFG), *examples, cfg)
         assert result.stopped_epoch < cfg.epochs
 
-    def test_returns_the_best_epoch_without_optimizer_state(self, weak_space):
+    def test_returns_the_best_epoch_without_optimizer_state(self, weak_space, monkeypatch):
         # stopped by patience, so the last epoch is not the best one: the
-        # returned parameters are the snapshot, and their holdout NDCG is the best
+        # returned parameters are the snapshot, and their holdout NDCG is the
+        # best. This holdout reads 1.0, so the saturation exit is turned off.
+        monkeypatch.setattr(ltr, "_ndcg_saturates", lambda rels: False)
         records = [weak_space.records[r] for r in weak_space.ids[:40]]
         packed, ids, accs = labeled(records, weak_space.meta.vocab)
         result = finetune(nn.build_model(MODEL_CFG), packed, ids, accs,
@@ -421,6 +422,20 @@ class TestFinetune:
         scores, _ = nn.forward(result.model, packed.select(hold), "rank")
         assert metrics.ndcg(scores, rels, [ids[i] for i in hold]) == result.best_ndcg
         assert [r.ndcg for r in result.curve if r.split == "holdout"][-1] < result.best_ndcg
+
+    @pytest.mark.parametrize("loss", list(ltr.FINETUNE_LOSSES))
+    def test_saturated_holdout_stops_with_the_model_of_a_full_run(self, weak_space, monkeypatch, loss):
+        # once the holdout NDCG reads 1.0 patience can only run out, so the
+        # exit returns the same model and the same curve as far as it goes
+        examples = labeled([weak_space.records[r] for r in weak_space.ids[:20]], weak_space.meta.vocab)
+        cfg = TrainConfig(epochs=40, early_stop_patience=10, seed=0)
+        early = finetune(nn.build_model(MODEL_CFG), *examples, cfg, loss)
+        monkeypatch.setattr(ltr, "_ndcg_saturates", lambda rels: False)
+        full = finetune(nn.build_model(MODEL_CFG), *examples, cfg, loss)
+        assert early.best_ndcg == full.best_ndcg == early.curve[-1].ndcg == 1.0
+        assert early.stopped_epoch == early.curve[-1].epoch < full.stopped_epoch
+        assert early.curve == full.curve[: len(early.curve)]
+        assert nn.checkpoint_bytes(early.model) == nn.checkpoint_bytes(full.model)
 
     def test_degenerate_relevance_falls_back_to_uniform(self, weak_space, caplog):
         recs = list(weak_space.records.values())[:8]
@@ -449,6 +464,55 @@ class TestFinetune:
         m1 = finetune(nn.build_model(MODEL_CFG), *examples, cfg).model
         m2 = finetune(nn.build_model(MODEL_CFG), *examples, cfg).model
         assert nn.checkpoint_bytes(m1) == nn.checkpoint_bytes(m2)
+
+
+@st.composite
+def near_tied_rels(draw):
+    """2-7 relevances in [0, 20] drawn near a few levels: equal, a few ulps
+    apart, or apart by a small step."""
+    rels = []
+    for _ in range(draw(st.integers(2, 7))):
+        rel = draw(st.sampled_from([0.0, 0.7, 5.0, 13.25, 19.5]))
+        rel += draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5, 0.3]))
+        for _ in range(draw(st.integers(0, 2))):
+            rel = np.nextafter(rel, np.inf)
+        rels.append(rel)
+    return np.array(rels)
+
+
+class TestNdcgSaturates:
+    def test_uniform_and_all_zero_holdouts_saturate(self):
+        assert ltr._ndcg_saturates(np.zeros(4))
+        assert ltr._ndcg_saturates(np.full(3, 7.5))
+
+    def test_spread_relevances_saturate_and_near_ties_do_not(self):
+        assert ltr._ndcg_saturates(np.array([0.0, 4.2, 11.0, 20.0, 0.0]))
+        assert not ltr._ndcg_saturates(np.array([0.0, 20.0, np.nextafter(20.0, 0.0)]))
+        assert not ltr._ndcg_saturates(np.array([3.0, 3.0 + 1e-13]))
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(near_tied_rels())
+    def test_no_order_reads_above_the_ideal_once_saturated(self, rels):
+        # brute force over every order: when the exit would fire, the orders
+        # that rank the relevances in descending sequence read one value and
+        # every other order reads below 1.0, so nothing can beat a best of 1.0
+        if not ltr._ndcg_saturates(rels):
+            return
+        n = len(rels)
+        ids = [f"a{i}" for i in range(n)]
+        ideal = np.sort(rels)[::-1]
+        ideal_readings = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", metrics.DegenerateRelevanceWarning)
+            for order in itertools.permutations(range(n)):
+                scores = np.empty(n)
+                scores[list(order)] = np.arange(n, 0, -1.0)
+                reading = metrics.ndcg(scores, rels, ids)
+                if np.array_equal(rels[list(order)], ideal):
+                    ideal_readings.add(reading)
+                else:
+                    assert reading < 1.0, (rels.tolist(), order)
+        assert len(ideal_readings) == 1
 
 
 def count_train_calls(monkeypatch):

@@ -698,9 +698,19 @@ class TestAdam:
     def test_training_sets_are_few_runs(self):
         # pretrain skips the rank head (2 runs); finetune skips three auxiliary heads (3 runs)
         store = build_model(TINY).store
-        pretrain_set = [n for n in store.names() if not n.startswith("head_rank")]
-        finetune_set = [n for n in store.names() if not n.startswith(("head_ws", "head_flops", "head_params"))]
+        pretrain_set = nn.trained_params(TINY, ("ws", "flops", "params"))
+        finetune_set = nn.trained_params(TINY, ("rank",))
         assert [len(store.runs(s)) for s in (pretrain_set, finetune_set, store.names(), [])] == [2, 3, 1, 0]
+
+    def test_trained_params_are_the_encoder_and_the_named_heads(self):
+        names = build_model(TINY).store.names()
+        assert sorted(nn.trained_params(TINY, ("rank",))) == [
+            n for n in names if not n.startswith(("head_ws.", "head_flops.", "head_params."))]
+        assert sorted(nn.trained_params(TINY, ("ws", "flops", "params"))) == [
+            n for n in names if not n.startswith("head_rank.")]
+        assert sorted(nn.trained_params(TINY, HEADS)) == names
+        with pytest.raises(ValueError, match=r"unknown heads \['acc'\]"):
+            nn.trained_params(TINY, ("rank", "acc"))
 
 
 class TestFlatStore:

@@ -314,6 +314,13 @@ class TestProbe:
         assert p1.ids != p3.ids
 
 
+def test_every_finetuning_method_names_a_finetune_loss():
+    # a misspelt loss in a METHODS row fails here, not mid-search
+    for name, method in search.METHODS.items():
+        assert (method.loss is None) == (method.start is None), name
+        assert method.loss is None or method.loss in ltr.FINETUNE_LOSSES, name
+
+
 # (method, whether a pretrained model is given, the model the hand-written
 # set-up starts from, its finetune loss); every METHODS row, and full without
 # a pretrained model

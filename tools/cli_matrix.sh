@@ -16,8 +16,10 @@
 #             after round 1 comes from pool scoring): budget 100 in 5 rounds,
 #             top-10, 60 epochs, patience 15, probe 512; and full with
 #             --probe-size 0 --patience 0, so a finetune that runs every
-#             epoch and a search without a probe are covered too. Only full
-#             and ranknet are given --checkpoint
+#             epoch and a search without a probe are covered too; and full
+#             at the CLI's finetune defaults, --epochs 300 --patience 50,
+#             where most finetunes reach a holdout NDCG of 1.0 and stop
+#             there. Only full and ranknet are given --checkpoint
 #   report    over the seven search runs before the no-probe one
 #   default   search --baseline full into search-full-flag, the default
 #             spelled out; every file must equal search-full's, run_config.json
@@ -45,7 +47,7 @@
 #             draw); and --tau 1.0, which takes calibration's amplitude-0 path
 # Commands run inside OUT_DIR with relative paths, so the paths recorded in
 # run_config.json match between runs. Each command's standard output is
-# appended to OUT_DIR/stdout.txt. About 40 s on a 2-vCPU VM.
+# appended to OUT_DIR/stdout.txt. About 35 s on a 2-vCPU VM.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -102,6 +104,8 @@ ltrnas search --out search-exploit --alpha 1 --space space/space.jsonl --checkpo
     "${search[@]}"
 ltrnas search --out search-no-probe --space space/space.jsonl --checkpoint pre/checkpoint.json \
     "${search[@]}" --probe-size 0 --patience 0
+ltrnas search --out search-cli-default --space space/space.jsonl --checkpoint pre/checkpoint.json \
+    "${search[@]}" --epochs 300 --patience 50
 ltrnas report search-full search-ranknet search-vanilla-mse search-random search-ws-greedy \
     search-no-pretrain search-exploit --out report
 ltrnas search --config search-full/run_config.json --out search-replay
